@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // k22 is the single-butterfly graph.
@@ -648,59 +650,71 @@ func TestNumInvariantsMatchesCore(t *testing.T) {
 	}
 }
 
-func TestCountWithAggModes(t *testing.T) {
+// TestCountWithHubPolicies: every hub policy, sequential and parallel,
+// returns the automatic count; an out-of-range policy is an error.
+func TestCountWithHubPolicies(t *testing.T) {
 	g := randGraph(t, 4, 100, 80, 0.1)
 	want := g.Count()
-	for _, agg := range []AggPolicy{AggAuto, AggSort, AggHash, AggHist, AggBatch} {
-		got, err := g.CountWith(CountOptions{Agg: agg})
-		if err != nil || got != want {
-			t.Fatalf("agg=%v sequential: %d, %v (want %d)", agg, got, err, want)
-		}
-		got, err = g.CountWith(CountOptions{Agg: agg, Threads: 3, Hub: HubNever})
-		if err != nil || got != want {
-			t.Fatalf("agg=%v parallel: %d, %v (want %d)", agg, got, err, want)
+	for _, hub := range []HubPolicy{HubAuto, HubNever, HubAlways} {
+		for _, threads := range []int{1, 3} {
+			got, err := g.CountWith(CountOptions{Hub: hub, Threads: threads})
+			if err != nil || got != want {
+				t.Fatalf("hub=%v threads=%d: %d, %v (want %d)", hub, threads, got, err, want)
+			}
 		}
 	}
-	resolved := g.ResolvedAgg(CountOptions{})
-	if resolved == AggAuto || !resolved.Valid() {
-		t.Fatalf("ResolvedAgg returned %v", resolved)
-	}
-	if got := g.ResolvedAgg(CountOptions{Agg: AggSort}); got != AggSort {
-		t.Fatalf("explicit mode resolved to %v", got)
+	if _, err := g.CountWith(CountOptions{Hub: HubPolicy(42)}); err == nil {
+		t.Fatal("invalid hub policy accepted")
 	}
 }
 
-func TestAggPolicyStringsAndParse(t *testing.T) {
-	want := map[AggPolicy]string{
-		AggAuto: "auto", AggSort: "sort", AggHash: "hash",
-		AggHist: "hist", AggBatch: "batch",
+// skewedGraph is large and hub-skewed enough for the automatic
+// degree-ordered relayout: V1 vertex 0 is adjacent to all of V2, every
+// other V1 vertex to four V2 vertices.
+func skewedGraph(t *testing.T) *Graph {
+	t.Helper()
+	const m, n = 1000, 1000
+	var edges [][2]int
+	for v := 0; v < n; v++ {
+		edges = append(edges, [2]int{0, v})
 	}
-	for p, s := range want {
-		if p.String() != s {
-			t.Errorf("String(%v) = %q, want %q", int(p), p.String(), s)
+	for u := 1; u < m; u++ {
+		for j := 0; j < 4; j++ {
+			edges = append(edges, [2]int{u, (u*7 + j*131) % n})
 		}
-		back, err := ParseAggPolicy(s)
-		if err != nil || back != p {
-			t.Errorf("ParseAggPolicy(%q) = %v, %v", s, back, err)
-		}
 	}
-	if _, err := ParseAggPolicy("bogus"); err == nil {
-		t.Error("bogus mode accepted")
+	g, err := FromEdges(m, n, edges)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if AggPolicy(9).String() == "" || AggPolicy(9).Valid() {
-		t.Error("out-of-range policy must be invalid with a diagnostic String")
-	}
+	return g
 }
 
-func TestCountWithAggErrors(t *testing.T) {
-	g := k22(t)
-	if _, err := g.CountWith(CountOptions{Agg: AggPolicy(42)}); err == nil {
-		t.Fatal("invalid agg accepted")
+// TestCountStageHook pins the stage names CountOptions.Stage documents
+// (per-layer benchmark tables key off them): a default count on a
+// skewed graph reports the relayout on the first call only, then the
+// count, and nothing else.
+func TestCountStageHook(t *testing.T) {
+	stagesOf := func(g *Graph, opts CountOptions) []string {
+		t.Helper()
+		var got []string
+		opts.Stage = func(stage string, _ time.Duration) { got = append(got, stage) }
+		if c, err := g.CountWith(opts); err != nil || c != g.Count() {
+			t.Fatalf("%+v: count %d, %v (want %d)", opts, c, err, g.Count())
+		}
+		return got
 	}
-	if _, err := g.CountWith(CountOptions{Agg: AggSort, Algorithm: AlgorithmWedgeHash}); err == nil {
-		t.Fatal("agg with non-family algorithm accepted")
+	want := func(got []string, stages ...string) {
+		t.Helper()
+		if !slices.Equal(got, stages) {
+			t.Fatalf("stages %q, want %q", got, stages)
+		}
 	}
-	if got, err := g.CountWith(CountOptions{Agg: AggAuto, Algorithm: AlgorithmWedgeHash}); err != nil || got != 1 {
-		t.Fatalf("AggAuto must stay compatible with baselines: %d, %v", got, err)
-	}
+	g := skewedGraph(t)
+	want(stagesOf(g, CountOptions{}), "core.relayout", "core.count")
+	want(stagesOf(g, CountOptions{}), "core.count")
+	want(stagesOf(g, CountOptions{Threads: 2}), "core.count")
+	// An explicit order replaces the relayout; a baseline names itself.
+	want(stagesOf(skewedGraph(t), CountOptions{Order: OrderDegreeDesc}), "core.order", "core.count")
+	want(stagesOf(g, CountOptions{Algorithm: AlgorithmWedgeHash}), "core.wedge-hash")
 }

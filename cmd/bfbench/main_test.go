@@ -159,11 +159,6 @@ func TestRunJSONStdout(t *testing.T) {
 			Threads   int     `json:"threads"`
 			NsPerOp   int64   `json:"ns_per_op"`
 			Count     int64   `json:"count"`
-			Agg       string  `json:"agg"`
-			AggUsed   string  `json:"agg_used"`
-			MaxDeg    int     `json:"max_deg"`
-			MeanDeg   float64 `json:"mean_deg"`
-			V2Width   int     `json:"v2_width"`
 			Estimate  float64 `json:"estimate"`
 			Samples   int     `json:"samples"`
 			RelErr    float64 `json:"rel_err"`
@@ -173,16 +168,15 @@ func TestRunJSONStdout(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("invalid JSON: %v in %q", err, out)
 	}
-	if rep.Schema != "bfbench/v4" || rep.Scale != 400 {
+	if rep.Schema != "bfbench/v5" || rep.Scale != 400 {
 		t.Fatalf("header wrong: %+v", rep)
 	}
 	algos := map[string]bool{}
 	// Peeling checksums must agree across engines and thread counts —
-	// the snapshot doubles as a differential test. Likewise the
-	// family/agg counts across aggregation modes.
+	// the snapshot doubles as a differential test. Likewise every
+	// family counting row of a dataset.
 	peelSums := map[string]map[int64]bool{}
-	aggCounts := map[string]map[int64]bool{}
-	aggModes := map[string]map[string]bool{}
+	familyCounts := map[string]map[int64]bool{}
 	for _, r := range rep.Results {
 		algos[r.Algorithm] = true
 		if r.NsPerOp < 0 || r.Dataset == "" || r.Invariant == "" || r.Threads < 1 {
@@ -195,22 +189,11 @@ func TestRunJSONStdout(t *testing.T) {
 			}
 			peelSums[key][r.Count] = true
 		}
-		if r.Algorithm == "family/agg" {
-			if r.AggUsed == "" || r.AggUsed == "auto" {
-				t.Fatalf("family/agg row must name a concrete mode: %+v", r)
+		if strings.HasPrefix(r.Algorithm, "family") {
+			if familyCounts[r.Dataset] == nil {
+				familyCounts[r.Dataset] = map[int64]bool{}
 			}
-			if r.Agg != "auto" && r.AggUsed != r.Agg {
-				t.Fatalf("explicit mode not honored: %+v", r)
-			}
-			if r.MaxDeg <= 0 || r.MeanDeg <= 0 || r.V2Width <= 0 {
-				t.Fatalf("family/agg row missing degree profile: %+v", r)
-			}
-			if aggCounts[r.Dataset] == nil {
-				aggCounts[r.Dataset] = map[int64]bool{}
-				aggModes[r.Dataset] = map[string]bool{}
-			}
-			aggCounts[r.Dataset][r.Count] = true
-			aggModes[r.Dataset][r.Agg] = true
+			familyCounts[r.Dataset][r.Count] = true
 		}
 		if strings.HasPrefix(r.Algorithm, "estimate/") {
 			if r.Invariant != "fixed" && r.Invariant != "adaptive" && r.Invariant != "stream" {
@@ -222,7 +205,7 @@ func TestRunJSONStdout(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"family/seq", "family/arena", "family/parallel", "family/agg",
+		"family/seq", "family/arena", "family/parallel",
 		"estimate/vertices", "estimate/edges", "estimate/reservoir",
 		"peel-tip/delta", "peel-tip/recount", "peel-wing/delta", "peel-wing/recount",
 	} {
@@ -235,15 +218,13 @@ func TestRunJSONStdout(t *testing.T) {
 			t.Fatalf("peel checksum disagreement for %s: %v", key, sums)
 		}
 	}
-	for ds, counts := range aggCounts {
+	for ds, counts := range familyCounts {
 		if len(counts) != 1 {
-			t.Fatalf("aggregation modes disagree on %s: %v", ds, counts)
+			t.Fatalf("family rows disagree on %s: %v", ds, counts)
 		}
-		for _, mode := range []string{"auto", "sort", "hash", "hist", "batch"} {
-			if !aggModes[ds][mode] {
-				t.Fatalf("dataset %s missing family/agg row for mode %q", ds, mode)
-			}
-		}
+	}
+	if len(familyCounts) == 0 {
+		t.Fatal("no family rows in results")
 	}
 	// Plain -json must not print the text tables.
 	if strings.Contains(out, "== ") {

@@ -53,7 +53,6 @@ func run(args []string, out io.Writer) error {
 		block     = fs.Int("block", 0, "block size (>1 = blocked variant)")
 		order     = fs.String("order", "natural", "vertex order: natural|degree-asc|degree-desc")
 		hub       = fs.String("hub", "auto", "hub kernel policy: auto|never|always (family algorithm only)")
-		agg       = fs.String("agg", "auto", "wedge aggregation mode: auto|sort|hash|hist|batch (family algorithm only)")
 		arena     = fs.Bool("arena", false, "reuse counting workspaces across runs (family algorithm only)")
 		all       = fs.Bool("all", false, "run all 8 invariants and report times")
 		stats     = fs.Bool("stats", false, "print graph statistics")
@@ -108,10 +107,6 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	aggPolicy, err := butterfly.ParseAggPolicy(*agg)
-	if err != nil {
-		return fmt.Errorf("unknown -agg %q (want auto|sort|hash|hist|batch)", *agg)
-	}
 	var pool *butterfly.Arena
 	if *arena {
 		pool = butterfly.NewArena()
@@ -120,7 +115,7 @@ func run(args []string, out io.Writer) error {
 	if *all {
 		for inv := butterfly.Invariant1; inv <= butterfly.Invariant8; inv++ {
 			start := time.Now()
-			c, err := g.CountWith(butterfly.CountOptions{Invariant: inv, Threads: *threads, BlockSize: *block, Hub: hubPolicy, Agg: aggPolicy, Arena: pool})
+			c, err := g.CountWith(butterfly.CountOptions{Invariant: inv, Threads: *threads, BlockSize: *block, Hub: hubPolicy, Arena: pool})
 			if err != nil {
 				return err
 			}
@@ -134,7 +129,6 @@ func run(args []string, out io.Writer) error {
 		Threads:   *threads,
 		BlockSize: *block,
 		Hub:       hubPolicy,
-		Agg:       aggPolicy,
 		Arena:     pool,
 	}
 	switch *algorithm {
@@ -179,13 +173,12 @@ func run(args []string, out io.Writer) error {
 			"butterflies": c,
 			"algorithm":   opts.Algorithm.String(),
 			"invariant":   opts.Invariant.String(),
-			"agg":         g.ResolvedAgg(opts).String(),
 			"threads":     *threads,
 			"seconds":     elapsed,
 			"clustering":  g.ClusteringCoefficient(),
 		})
 	}
-	fmt.Fprintf(out, "butterflies = %d (%v/%v, agg=%v, threads=%d, %.3fs)\n", c, opts.Algorithm, opts.Invariant, g.ResolvedAgg(opts), *threads, elapsed)
+	fmt.Fprintf(out, "butterflies = %d (%v/%v, threads=%d, %.3fs)\n", c, opts.Algorithm, opts.Invariant, *threads, elapsed)
 	fmt.Fprintf(out, "clustering coefficient = %.6f\n", g.ClusteringCoefficient())
 
 	if *verify {

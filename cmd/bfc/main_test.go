@@ -178,6 +178,7 @@ func TestRunErrors(t *testing.T) {
 		"missingFile":  {"-file", "/no/such/file"},
 		"badFlag":      {"-nope"},
 		"badDataset":   {"-dataset", "nope"},
+		"removedAgg":   {"-dataset", "github", "-scale", "500", "-agg", "sort"},
 	}
 	for name, args := range cases {
 		var sb strings.Builder
@@ -235,61 +236,5 @@ func TestRunProject(t *testing.T) {
 	}
 	if err := run([]string{"-file", writeTestGraph(t), "-project", "bogus"}, &sb); err == nil {
 		t.Fatal("bad side accepted")
-	}
-}
-
-// TestRunAggModes mirrors the hub-policy coverage for -agg: every mode
-// counts K33's 9 butterflies, and a bad mode is rejected.
-func TestRunAggModes(t *testing.T) {
-	path := writeTestGraph(t)
-	for _, agg := range []string{"auto", "sort", "hash", "hist", "batch"} {
-		var sb strings.Builder
-		if err := run([]string{"-file", path, "-agg", agg}, &sb); err != nil {
-			t.Fatalf("%s: %v", agg, err)
-		}
-		if !strings.Contains(sb.String(), "butterflies = 9") {
-			t.Fatalf("%s output: %q", agg, sb.String())
-		}
-	}
-	var sb strings.Builder
-	if err := run([]string{"-file", path, "-agg", "bogus"}, &sb); err == nil {
-		t.Fatal("bad -agg accepted")
-	}
-	if err := run([]string{"-file", path, "-agg", "sort", "-algorithm", "spgemm"}, &sb); err == nil {
-		t.Fatal("-agg with non-family algorithm accepted")
-	}
-}
-
-// TestRunAggJSON checks -agg honors -json: the JSON reports the mode
-// actually used, which for an explicit mode is that mode and for auto
-// is the concrete resolved mode, never "auto".
-func TestRunAggJSON(t *testing.T) {
-	path := writeTestGraph(t)
-	var sb strings.Builder
-	if err := run([]string{"-file", path, "-agg", "batch", "-json"}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	var got map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &got); err != nil {
-		t.Fatalf("output not JSON: %v\n%q", err, sb.String())
-	}
-	if got["agg"] != "batch" {
-		t.Fatalf("JSON agg = %v, want batch", got["agg"])
-	}
-	sb.Reset()
-	if err := run([]string{"-file", path, "-json"}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	got = nil
-	if err := json.Unmarshal([]byte(sb.String()), &got); err != nil {
-		t.Fatal(err)
-	}
-	switch got["agg"] {
-	case "sort", "hash", "hist", "batch":
-	default:
-		t.Fatalf("auto must resolve to a concrete mode in JSON, got %v", got["agg"])
-	}
-	if got["butterflies"].(float64) != 9 {
-		t.Fatalf("JSON butterflies = %v", got["butterflies"])
 	}
 }

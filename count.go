@@ -157,51 +157,6 @@ func (p HubPolicy) String() string {
 // Valid reports whether p is one of the three policies.
 func (p HubPolicy) Valid() bool { return p >= HubAuto && p <= HubAlways }
 
-// AggPolicy selects the wedge-aggregation kernel of the counting core —
-// how one exposed vertex's wedge multiset is materialized before the
-// butterfly formula is applied. Every mode returns the exact count;
-// they differ only in memory behavior (ParButterfly's observation that
-// sort-, hash-, histogram- and batch-based aggregation each win on
-// different graph shapes).
-type AggPolicy int
-
-const (
-	// AggAuto (the default) picks per graph from its degree profile.
-	AggAuto AggPolicy = iota
-	// AggSort radix-sorts gathered wedge endpoints and counts runs.
-	AggSort
-	// AggHash aggregates in an open-addressing table keyed by partner.
-	AggHash
-	// AggHist aggregates in the dense per-endpoint counter array.
-	AggHist
-	// AggBatch gathers into fixed-size buffers flushed through the
-	// histogram, bounding memory on huge hubs.
-	AggBatch
-)
-
-// String names the policy ("auto", "sort", "hash", "hist", "batch") —
-// the spelling the bfc -agg flag and the serve API accept.
-func (p AggPolicy) String() string {
-	if p.Valid() {
-		return core.AggPolicy(p).Mode()
-	}
-	return fmt.Sprintf("AggPolicy(%d)", int(p))
-}
-
-// Valid reports whether p is one of the five policies.
-func (p AggPolicy) Valid() bool { return p >= AggAuto && p <= AggBatch }
-
-// ParseAggPolicy converts a mode string to its policy; it accepts
-// exactly the String spellings.
-func ParseAggPolicy(s string) (AggPolicy, error) {
-	for p := AggAuto; p <= AggBatch; p++ {
-		if s == p.String() {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("butterfly: invalid aggregation mode %q (want auto, sort, hash, hist or batch)", s)
-}
-
 // Arena is a reusable pool of counting workspaces. Passing the same
 // Arena to repeated counts (CountOptions.Arena) makes the steady state
 // allocation-free — the win measured in docs/PERFORMANCE.md for
@@ -242,22 +197,21 @@ type CountOptions struct {
 	// chooses per vertex from a cost model; HubNever and HubAlways pin
 	// one path. Every policy returns the exact count.
 	Hub HubPolicy
-	// Agg selects the wedge-aggregation kernel (AlgorithmFamily only).
-	// The zero value AggAuto chooses per graph from the degree profile;
-	// the fixed modes pin one kernel. Every mode returns the exact
-	// count; ResolvedAgg reports the mode a count would actually run.
-	Agg AggPolicy
 	// Arena optionally supplies a workspace pool reused across counts;
 	// nil allocates fresh scratch per run (AlgorithmFamily only). See
 	// NewArena.
 	Arena *Arena
-	// Stage, when non-nil, receives coarse stage timings: "core.order"
-	// for the optional relabeling pass, "core.count" for a family
-	// count, and "core.<algorithm>" (e.g. "core.wedge-hash") for a
-	// baseline count. The hook fires at most twice per call — never
-	// inside the counting loops — so a nil hook is free and an
-	// installed hook costs two clock reads. The serving layer adapts
-	// this to trace spans.
+	// Stage, when non-nil, receives coarse stage timings, in order:
+	//   - "core.order" for the relabeling pass when Order is set, or
+	//     "core.relayout" for the automatic degree-ordered relayout a
+	//     family count runs on a hub-skewed graph in natural order
+	//     (first count on a graph only: the relayouted twin is cached);
+	//   - "core.count" for a family count, or "core.<algorithm>" (e.g.
+	//     "core.wedge-hash") for a baseline count.
+	// The hook fires at most twice per call — never inside the
+	// counting loops — so a nil hook is free and an installed hook
+	// costs a few clock reads. The serving layer adapts this to trace
+	// spans.
 	Stage func(stage string, d time.Duration)
 }
 
@@ -304,25 +258,9 @@ func (g *Graph) CountWithContext(ctx context.Context, opts CountOptions) (int64,
 	if !opts.Hub.Valid() {
 		return 0, fmt.Errorf("butterfly: invalid hub policy %v", opts.Hub)
 	}
-	if !opts.Agg.Valid() {
-		return 0, fmt.Errorf("butterfly: invalid aggregation mode %v", opts.Agg)
-	}
-	if opts.Agg != AggAuto && opts.Algorithm != AlgorithmFamily {
-		return 0, fmt.Errorf("butterfly: Agg is only meaningful with AlgorithmFamily, got %v with %v", opts.Agg, opts.Algorithm)
-	}
 	ord, err := opts.Order.internal()
 	if err != nil {
 		return 0, err
-	}
-	gg := g.g
-	if ord != graph.OrderNatural {
-		if opts.Stage != nil {
-			t0 := time.Now()
-			gg, _, _ = gg.Relabel(ord)
-			opts.Stage("core.order", time.Since(t0))
-		} else {
-			gg, _, _ = gg.Relabel(ord)
-		}
 	}
 	threads := opts.Threads
 	if threads < 0 {
@@ -330,18 +268,30 @@ func (g *Graph) CountWithContext(ctx context.Context, opts CountOptions) (int64,
 	}
 	switch opts.Algorithm {
 	case AlgorithmFamily:
-		return core.CountContext(ctx, gg, core.Options{
+		// The core relabels for an explicit Order itself, and then
+		// skips its automatic relayout.
+		return core.CountContext(ctx, g.g, core.Options{
 			Invariant: core.Invariant(opts.Invariant),
 			Threads:   threads,
 			BlockSize: opts.BlockSize,
+			Order:     ord,
 			Hub:       core.HubPolicy(opts.Hub),
-			Agg:       core.AggPolicy(opts.Agg),
 			Arena:     opts.Arena.internal(),
 			Stage:     opts.Stage,
 		})
 	case AlgorithmWedgeHash, AlgorithmVertexPriority, AlgorithmSortAggregate, AlgorithmSpGEMM:
 		if opts.Invariant != InvariantAuto {
 			return 0, fmt.Errorf("butterfly: Invariant is only meaningful with AlgorithmFamily, got %v with %v", opts.Invariant, opts.Algorithm)
+		}
+		gg := g.g
+		if ord != graph.OrderNatural {
+			if opts.Stage != nil {
+				t0 := time.Now()
+				gg, _, _ = gg.Relabel(ord)
+				opts.Stage("core.order", time.Since(t0))
+			} else {
+				gg, _, _ = gg.Relabel(ord)
+			}
 		}
 		run := func() int64 {
 			var t0 time.Time
@@ -386,25 +336,6 @@ func (g *Graph) CountWithContext(ctx context.Context, opts CountOptions) (int64,
 // CountInvariant counts with one specific family member, sequentially.
 func (g *Graph) CountInvariant(inv Invariant) (int64, error) {
 	return g.CountWith(CountOptions{Invariant: inv})
-}
-
-// ResolvedAgg reports the concrete aggregation mode a family count with
-// opts would run — never AggAuto. Callers that report the mode used
-// (bfc -json, the serving layer, bfbench) call this alongside
-// CountWith; the resolution reads only the graph's cached degree
-// profile, so it is cheap and deterministic. For non-family algorithms
-// (which have their own fixed aggregation) opts.Agg is returned
-// unchanged.
-func (g *Graph) ResolvedAgg(opts CountOptions) AggPolicy {
-	if g == nil || g.g == nil || !opts.Agg.Valid() || opts.Algorithm != AlgorithmFamily {
-		return opts.Agg
-	}
-	return AggPolicy(core.ResolveAgg(g.g, core.Options{
-		Invariant: core.Invariant(opts.Invariant),
-		Threads:   opts.Threads,
-		BlockSize: opts.BlockSize,
-		Agg:       core.AggPolicy(opts.Agg),
-	}))
 }
 
 // VertexButterflies returns, for every vertex of the chosen side, the

@@ -24,13 +24,6 @@ import (
 // "peel-wing/…") put the decomposition checksum (Σ tip/wing numbers)
 // there, which must agree across engines, and name the engine in
 // Invariant.
-//
-// Schema v3 "family/agg" rows additionally carry the wedge-aggregation
-// mode that was requested (Agg), the concrete mode that actually ran
-// (AggUsed — differs from Agg only on the "auto" row), and the degree
-// profile of the exposed side that the AggAuto chooser read, so a BENCH
-// snapshot is self-explaining: one can see from the row alone why the
-// policy picked the mode it did.
 type JSONResult struct {
 	Dataset   string `json:"dataset"`
 	Algorithm string `json:"algorithm"`
@@ -39,14 +32,6 @@ type JSONResult struct {
 	NsPerOp   int64  `json:"ns_per_op"`
 	Allocs    int64  `json:"allocs"`
 	Count     int64  `json:"count"`
-
-	// family/agg rows only (schema v3).
-	Agg     string  `json:"agg,omitempty"`
-	AggUsed string  `json:"agg_used,omitempty"`
-	MaxDeg  int     `json:"max_deg,omitempty"`
-	MeanDeg float64 `json:"mean_deg,omitempty"`
-	V2Width int     `json:"v2_width,omitempty"`
-	Skew    float64 `json:"skew,omitempty"`
 
 	// estimate rows only (schema v4). Count holds the exact count the
 	// estimate is judged against; RelErr = |Estimate−Count|/Count and
@@ -96,17 +81,15 @@ func measureJSON(repeat int, fn func() int64) (nsPerOp, allocs, count int64) {
 // The "family/arena" row re-runs the sequential auto count through a
 // warm core.Arena, making the allocation win visible in the snapshot.
 // Schema v2 adds peeling rows: the tip and wing decompositions on the
-// delta and recount engines at every requested thread count. Schema v3
-// adds "family/agg" rows: the sequential auto-invariant count under
-// every wedge-aggregation mode (auto plus the four fixed kernels),
-// annotated with the degree profile so the auto row's choice can be
-// audited from the snapshot alone. Schema v4 adds "estimate/…" rows:
-// the vertex- and edge-sampling estimators at a fixed budget and under
-// the adaptive stopping rule, each carrying accuracy (estimate, error
-// bars, relative error vs. exact) alongside throughput.
+// delta and recount engines at every requested thread count. Schema v4
+// adds "estimate/…" rows: the vertex- and edge-sampling estimators at a
+// fixed budget and under the adaptive stopping rule, each carrying
+// accuracy (estimate, error bars, relative error vs. exact) alongside
+// throughput. Schema v5 drops v3's per-aggregation-mode "family/agg"
+// rows with the aggregation choice itself.
 func JSONBench(names []string, dataDir string, scale int, threadsList []int, repeat int) (*JSONReport, error) {
 	rep := &JSONReport{
-		Schema: "bfbench/v4",
+		Schema: "bfbench/v5",
 		Go:     runtime.Version(),
 		Scale:  scale,
 		Repeat: repeat,
@@ -117,38 +100,10 @@ func JSONBench(names []string, dataDir string, scale int, threadsList []int, rep
 			return nil, err
 		}
 		rep.Results = append(rep.Results, jsonDatasetRows(name, g, threadsList, repeat)...)
-		rep.Results = append(rep.Results, jsonAggRows(name, g, repeat)...)
 		rep.Results = append(rep.Results, jsonEstimateRows(name, g, repeat)...)
 		rep.Results = append(rep.Results, jsonPeelRows(name, g, threadsList, repeat)...)
 	}
 	return rep, nil
-}
-
-// jsonAggRows measures the sequential auto-invariant count under every
-// wedge-aggregation mode. All five rows must report the same Count — CI
-// asserts this on every snapshot — and the auto row's AggUsed names the
-// fixed mode the policy resolved to for this graph's degree profile.
-func jsonAggRows(name string, g *graph.Bipartite, repeat int) []JSONResult {
-	auto := core.AutoInvariant(g)
-	prof := g.Profile()
-	// The profile of the exposed side: the id space the aggregation
-	// kernels index, which is what the AggAuto decision table reads.
-	_, maxDeg, meanDeg, skew := prof.Side(!auto.PartitionsV2())
-	var rows []JSONResult
-	for _, agg := range []core.AggPolicy{core.AggAuto, core.AggSort, core.AggHash, core.AggHist, core.AggBatch} {
-		opts := core.Options{Invariant: auto, Agg: agg}
-		used := core.ResolveAgg(g, opts)
-		ns, allocs, count := measureJSON(repeat, func() int64 {
-			return core.CountWith(g, opts)
-		})
-		rows = append(rows, JSONResult{
-			Dataset: name, Algorithm: "family/agg", Invariant: auto.String(),
-			Threads: 1, NsPerOp: ns, Allocs: allocs, Count: count,
-			Agg: agg.Mode(), AggUsed: used.Mode(),
-			MaxDeg: maxDeg, MeanDeg: meanDeg, V2Width: prof.NumV2, Skew: skew,
-		})
-	}
-	return rows
 }
 
 // jsonEstimateRows measures the approximate tier (schema v4). Five

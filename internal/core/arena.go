@@ -15,17 +15,6 @@ type workspace struct {
 	acc     []int32
 	touched []int32
 	bits    *bitvec.Vector
-
-	// Aggregation-mode scratch (agg.go), all lazily allocated and
-	// persisted across rounds like the rest of the workspace: sbuf is
-	// the wedge-endpoint gather buffer of the sort and batch kernels,
-	// saux the radix-sort ping-pong buffer, and hkey/hval/hused the
-	// open-addressing table of the hash kernel (hkey slots are −1 when
-	// empty — the at-rest state the hash kernel restores after every
-	// vertex).
-	sbuf, saux []int32
-	hkey, hval []int32
-	hused      []int32
 }
 
 func newWorkspace(n int) *workspace {

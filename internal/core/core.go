@@ -150,13 +150,6 @@ type Options struct {
 	// the sparse path, HubAlways forces the bitset path. Every policy
 	// returns the exact count.
 	Hub HubPolicy
-	// Agg selects the wedge-aggregation kernel: AggAuto (the zero
-	// value) picks per graph from the degree profile; AggSort, AggHash,
-	// AggHist and AggBatch force one mode. Every mode returns the exact
-	// count. The blocked variant (Threads ≤ 1, BlockSize > 1) is
-	// inherently histogram-based and ignores this knob; ResolveAgg
-	// reports the mode that actually runs. See agg.go.
-	Agg AggPolicy
 	// Arena optionally supplies a workspace pool reused across counts;
 	// nil allocates fresh scratch per run. See NewArena.
 	Arena *Arena
@@ -172,13 +165,10 @@ type Options struct {
 	// Stage, when non-nil, receives coarse stage timings: "core.order"
 	// for the optional relabeling pass, "core.relayout" for the
 	// automatic degree-ordered relayout (first count on a graph only —
-	// the twin is cached afterwards), "core.count" for the count
-	// itself, and "core.agg.<mode>" re-attributing the same count
-	// duration to the resolved aggregation mode (an attribution label,
-	// not an extra phase — its duration equals core.count's). The hook
-	// fires a handful of times per count — never inside the wedge
-	// loops — so a nil hook costs one predictable branch and an
-	// installed hook costs a few time.Now calls, keeping disabled
+	// the twin is cached afterwards) and "core.count" for the count
+	// itself. The hook fires at most twice per count — never inside
+	// the wedge loops — so a nil hook costs one predictable branch and
+	// an installed hook costs a few time.Now calls, keeping disabled
 	// tracing invisible on the count benchmarks. The serving layer
 	// adapts this to trace spans; core deliberately does not import the
 	// tracer.
@@ -215,7 +205,6 @@ func CountWith(g *graph.Bipartite, opts Options) int64 {
 	if inv < Inv1 || inv > Inv8 {
 		panic("core: invalid invariant " + inv.String())
 	}
-	agg := ResolveAgg(g, opts)
 	if opts.Order != graph.OrderNatural {
 		if opts.Stage != nil {
 			t0 := time.Now()
@@ -231,7 +220,7 @@ func CountWith(g *graph.Bipartite, opts Options) int64 {
 		// (see graph.DegreeOrdered). Explicit Order requests above take
 		// precedence; per-vertex and per-edge kernels do their own
 		// orientation and never come through here.
-		if opts.Stage != nil {
+		if opts.Stage != nil && !g.HasDegreeOrdered() {
 			t0 := time.Now()
 			g, _, _ = g.DegreeOrdered()
 			opts.Stage("core.relayout", time.Since(t0))
@@ -250,20 +239,36 @@ func CountWith(g *graph.Bipartite, opts Options) int64 {
 	var c int64
 	switch {
 	case threads > 1:
-		c = countParallel(g, inv, threads, opts.Hub, agg, opts.Arena, opts.stop)
+		c = countParallel(g, inv, threads, opts.Hub, opts.Arena, opts.stop)
 	case opts.BlockSize > 1:
 		c = countBlocked(g, inv, opts.BlockSize, opts.stop)
-	case opts.Hub == HubNever && opts.Arena == nil && opts.stop == nil && agg == AggHist:
+	case opts.Hub == HubNever && opts.Arena == nil && opts.stop == nil:
 		c = countSeq(g, inv)
 	default:
-		c = countSeqHub(g, inv, opts.Hub, agg, opts.Arena, opts.stop)
+		c = countSeqHub(g, inv, opts.Hub, opts.Arena, opts.stop)
 	}
 	if opts.Stage != nil {
-		d := time.Since(t0)
-		opts.Stage("core.count", d)
-		opts.Stage("core.agg."+agg.Mode(), d)
+		opts.Stage("core.count", time.Since(t0))
 	}
 	return c
+}
+
+// relayoutSkew and relayoutMinEdges gate the automatic degree-ordered
+// relayout: worth an O(|E|) one-time rebuild only when hubs exist to
+// concentrate (skew) and the graph is large enough for locality to
+// matter.
+const (
+	relayoutSkew     = 4.0
+	relayoutMinEdges = 1 << 12
+)
+
+// shouldRelayout reports whether CountWith counts on the cached
+// degree-ordered twin (graph.DegreeOrdered) instead of g itself. The
+// count is invariant under relabeling, so the relayout is invisible at
+// every API surface; it only changes which memory the kernels stream.
+func shouldRelayout(p graph.DegreeProfile) bool {
+	return p.NumEdges >= relayoutMinEdges &&
+		(p.SkewV1 >= relayoutSkew || p.SkewV2 >= relayoutSkew)
 }
 
 // stopped reports whether the stop flag has been raised. The nil check

@@ -285,3 +285,24 @@ func TestCaterpillarsAndClustering(t *testing.T) {
 		t.Fatalf("cc out of range: %f", cc)
 	}
 }
+
+// TestRelayoutCountInvariance: counting on the degree-ordered twin
+// returns the same scalar as the original graph for every invariant —
+// the property that makes the automatic relayout invisible.
+func TestRelayoutCountInvariance(t *testing.T) {
+	g := gen.PowerLawBipartite(100, 80, 800, 0.9, 0.9, 17)
+	h, p1, p2 := g.DegreeOrdered()
+	if len(p1) != g.NumV1() || len(p2) != g.NumV2() {
+		t.Fatalf("permutation lengths %d/%d", len(p1), len(p2))
+	}
+	for _, inv := range Invariants() {
+		if a, b := countSeq(g, inv), countSeq(h, inv); a != b {
+			t.Fatalf("%v: original %d, relayouted %d", inv, a, b)
+		}
+	}
+	// The twin is cached: a second call returns the same object.
+	h2, _, _ := g.DegreeOrdered()
+	if h2 != h {
+		t.Fatal("DegreeOrdered must cache the twin")
+	}
+}

@@ -63,10 +63,6 @@ type kernShared struct {
 	exposed, secondary *sparse.CSR
 	above              bool
 
-	// agg is the resolved wedge-aggregation mode (never AggAuto; see
-	// agg.go) used by contrib for vertices off the bitset path.
-	agg AggPolicy
-
 	// work[k] is the exact restricted wedge work of exposed vertex k
 	// (nil when the policy is HubNever and no scheduler needs it).
 	work []int64
@@ -95,13 +91,8 @@ func hubBitsDegThreshold(nSec int) int {
 
 // newKernShared analyses the oriented traversal once. work may be nil,
 // in which case it is computed here when the policy needs it.
-func newKernShared(exposed, secondary *sparse.CSR, above bool, pol HubPolicy, agg AggPolicy, work []int64) *kernShared {
-	if agg == AggAuto {
-		// Callers resolve the policy up front (ResolveAgg); default to
-		// the classic path if one forgets.
-		agg = AggHist
-	}
-	ks := &kernShared{exposed: exposed, secondary: secondary, above: above, agg: agg, work: work}
+func newKernShared(exposed, secondary *sparse.CSR, above bool, pol HubPolicy, work []int64) *kernShared {
+	ks := &kernShared{exposed: exposed, secondary: secondary, above: above, work: work}
 	nExp, nSec := exposed.R, secondary.R
 	if pol == HubNever || nExp == 0 || nSec == 0 {
 		return ks
@@ -221,21 +212,12 @@ func (kn *kern) release() { kn.a.put(kn.ws) }
 
 // contrib returns exposed vertex k's butterfly contribution
 // Σ_z C(β_z, 2) over its restricted partner range, dispatching between
-// the bitset path and the selected aggregation kernel (agg.go).
+// the bitset path and the sparse wedge accumulator.
 func (kn *kern) contrib(k int) int64 {
 	if kn.useBits != nil && kn.useBits[k] {
 		return kn.contribBits(k)
 	}
-	switch kn.agg {
-	case AggSort:
-		return kn.contribSort(k)
-	case AggHash:
-		return kn.contribHash(k)
-	case AggBatch:
-		return kn.contribBatch(k)
-	default:
-		return kn.contribSparse(k)
-	}
+	return kn.contribSparse(k)
 }
 
 // contribSparse is the classic restricted wedge-accumulator path.

@@ -107,7 +107,7 @@ func TestHybridKernelDenseHubAllPolicies(t *testing.T) {
 	// Sanity: the graph must actually trigger the auto bitset path.
 	exposed, secondary := orient(g, Inv2)
 	_, above := Inv2.geometry()
-	ks := newKernShared(exposed, secondary, above, HubAuto, AggHist, nil)
+	ks := newKernShared(exposed, secondary, above, HubAuto, nil)
 	if !ks.anyBits {
 		t.Fatal("dense-hub graph did not trigger the auto bitset path")
 	}
@@ -134,7 +134,7 @@ func TestQuickForcedSpillExactness(t *testing.T) {
 		for _, inv := range Invariants() {
 			for _, pol := range allPolicies {
 				for _, threads := range []int{2, 4, 8} {
-					if countParallelTuned(g, inv, threads, pol, AggHist, nil, tun, nil) != want {
+					if countParallelTuned(g, inv, threads, pol, nil, tun, nil) != want {
 						return false
 					}
 				}
@@ -154,7 +154,7 @@ func TestForcedSpillPowerLaw(t *testing.T) {
 		want := Count(g, inv)
 		for _, pol := range allPolicies {
 			for _, threads := range []int{2, 4, 8} {
-				if got := countParallelTuned(g, inv, threads, pol, AggHist, nil, tun, nil); got != want {
+				if got := countParallelTuned(g, inv, threads, pol, nil, tun, nil); got != want {
 					t.Fatalf("%v %v threads=%d: %d, want %d", inv, pol, threads, got, want)
 				}
 			}

@@ -35,19 +35,19 @@ import (
 // raised flag makes workers abandon the cursor race, so the whole pool
 // drains within one unit's worth of work. The partial total returned
 // after an abort is unspecified — CountContext discards it.
-func countParallel(g *graph.Bipartite, inv Invariant, threads int, pol HubPolicy, agg AggPolicy, a *Arena, stop *atomic.Bool) int64 {
-	return countParallelTuned(g, inv, threads, pol, agg, a, schedTuning{}, stop)
+func countParallel(g *graph.Bipartite, inv Invariant, threads int, pol HubPolicy, a *Arena, stop *atomic.Bool) int64 {
+	return countParallelTuned(g, inv, threads, pol, a, schedTuning{}, stop)
 }
 
 // countParallelTuned is countParallel with explicit scheduler tuning;
 // tests shrink the budgets to force hub splitting on small graphs.
-func countParallelTuned(g *graph.Bipartite, inv Invariant, threads int, pol HubPolicy, agg AggPolicy, a *Arena, tun schedTuning, stop *atomic.Bool) int64 {
+func countParallelTuned(g *graph.Bipartite, inv Invariant, threads int, pol HubPolicy, a *Arena, tun schedTuning, stop *atomic.Bool) int64 {
 	desc, above := inv.geometry()
 	exposed, secondary := orient(g, inv)
 	nExp := exposed.R
 
 	work := workPerExposed(exposed, secondary, above)
-	ks := newKernShared(exposed, secondary, above, pol, agg, work)
+	ks := newKernShared(exposed, secondary, above, pol, work)
 	sched := buildSchedule(work, desc, threads, tun,
 		restrictedSegWork(exposed, secondary, above),
 		exposed.RowDeg, ks.bitsSplitFunc(), exposed.Ptr)

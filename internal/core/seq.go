@@ -27,17 +27,17 @@ func countSeq(g *graph.Bipartite, inv Invariant) int64 {
 // the (optional) arena. A non-nil stop flag is polled between exposed
 // vertices — a point where the workspace is at rest, so an aborted run
 // still returns a clean workspace to the arena.
-func countSeqHub(g *graph.Bipartite, inv Invariant, pol HubPolicy, agg AggPolicy, a *Arena, stop *atomic.Bool) int64 {
+func countSeqHub(g *graph.Bipartite, inv Invariant, pol HubPolicy, a *Arena, stop *atomic.Bool) int64 {
 	desc, above := inv.geometry()
 	exposed, secondary := orient(g, inv)
-	if pol == HubNever && agg == AggHist {
-		// Pure sparse histogram path: skip the kernel analysis entirely
+	if pol == HubNever {
+		// Pure sparse accumulator path: skip the kernel analysis entirely
 		// so a warm arena makes repeated counts allocation-free.
 		ws := a.get(exposed.R)
 		defer a.put(ws)
 		return countFamilyStop(ws.acc, ws.touched, exposed, secondary, desc, above, stop)
 	}
-	kn := newKernShared(exposed, secondary, above, pol, agg, nil).worker(a)
+	kn := newKernShared(exposed, secondary, above, pol, nil).worker(a)
 	defer kn.release()
 	nExp := exposed.R
 	var total int64

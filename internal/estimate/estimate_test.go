@@ -272,22 +272,21 @@ func TestSampleStatisticalAcceptance(t *testing.T) {
 	}
 }
 
-// TestSampleAccumulatorsAgree forces both accumulator implementations
-// over the same seed; the estimates must be identical because the RNG
-// draw sequence and per-sample values do not depend on the accumulator.
+// TestSampleAccumulatorsAgree checks the per-sample values the
+// wedge accumulator yields against the exact kernels: every vertex
+// sample must equal the vertex's butterfly count and every edge sample
+// the edge's support, with the accumulator reused across all of them.
 func TestSampleAccumulatorsAgree(t *testing.T) {
 	g := gen.PowerLawBipartite(200, 150, 1800, 0.7, 0.7, 8)
-	for _, strat := range []Strategy{StrategyVertices, StrategyEdges} {
-		dense, err := Sample(g, Options{Strategy: strat, Samples: 200, Agg: core.AggHist, Seed: 13})
-		if err != nil {
-			t.Fatal(err)
+	wk := wedgeKernel{g: g, adj: g.Adj(), adjT: g.AdjT(), acc: newDenseAccum(g.NumV1())}
+	for u, want := range core.VertexButterflies(g, core.SideV1) {
+		if got := wk.vertexSample(u); got != want {
+			t.Fatalf("vertex %d: sample %d, exact %d", u, got, want)
 		}
-		hash, err := Sample(g, Options{Strategy: strat, Samples: 200, Agg: core.AggHash, Seed: 13})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dense.Estimate != hash.Estimate || dense.StdErr != hash.StdErr {
-			t.Fatalf("%v: dense %+v != hash %+v", strat, dense, hash)
+	}
+	for k, want := range core.EdgeSupport(g).Val {
+		if got := wk.edgeSample(int64(k)); got != want {
+			t.Fatalf("edge %d: sample %d, exact support %d", k, got, want)
 		}
 	}
 }

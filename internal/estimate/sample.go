@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"butterfly/internal/core"
 	"butterfly/internal/graph"
 )
 
@@ -59,11 +58,6 @@ type Options struct {
 	// package defaults.
 	MinSamples int
 	MaxSamples int
-	// Agg picks the wedge accumulator: AggHash uses the sparse map
-	// accumulator (huge V1, tiny touched sets), everything else the
-	// dense per-vertex array. AggAuto resolves from the graph's cached
-	// degree profile — the same decision table the exact kernels use.
-	Agg core.AggPolicy
 	// Seed makes the estimator deterministic.
 	Seed int64
 }
@@ -123,7 +117,7 @@ func Sample(g *graph.Bipartite, opts Options) (Result, error) {
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed))
-	acc := newAccum(g, opts.Agg)
+	acc := newDenseAccum(g.NumV1())
 	kernel := wedgeKernel{g: g, adj: g.Adj(), adjT: g.AdjT(), acc: acc}
 
 	// Welford running mean/variance of the raw per-sample values.
@@ -202,7 +196,7 @@ type wedgeKernel struct {
 	adj, adjT interface {
 		Row(int) []int32
 	}
-	acc accum
+	acc *denseAccum
 }
 
 // gather fills the accumulator with β_uw = |N(u) ∩ N(w)| for every V1
@@ -263,33 +257,17 @@ func edgeRow(ptr []int64, k int64) int {
 	return lo
 }
 
-// accum is the per-sample wedge accumulator. drain visits every nonzero
+// denseAccum is the per-sample wedge accumulator: a per-V1-vertex
+// counter array with a touched list. drain visits every nonzero
 // counter and resets; get/reset serve the edge-support path, which
 // needs random access after gathering.
-type accum interface {
-	inc(w int32)
-	get(w int32) int64
-	drain(f func(c int64))
-	reset()
-}
-
-// newAccum picks dense vs. hash from the requested aggregation policy,
-// resolving AggAuto through the same degree-profile decision table the
-// exact kernels use (AggHash means "huge sparse id space" there too).
-func newAccum(g *graph.Bipartite, agg core.AggPolicy) accum {
-	resolved := agg
-	if agg == core.AggAuto {
-		resolved = core.ResolveAgg(g, core.Options{Agg: core.AggAuto})
-	}
-	if resolved == core.AggHash {
-		return &hashAccum{counts: make(map[int32]int32)}
-	}
-	return &denseAccum{counts: make([]int32, g.NumV1()), touched: make([]int32, 0, 1024)}
-}
-
 type denseAccum struct {
 	counts  []int32
 	touched []int32
+}
+
+func newDenseAccum(n int) *denseAccum {
+	return &denseAccum{counts: make([]int32, n), touched: make([]int32, 0, 1024)}
 }
 
 func (a *denseAccum) inc(w int32) {
@@ -315,19 +293,3 @@ func (a *denseAccum) reset() {
 	}
 	a.touched = a.touched[:0]
 }
-
-type hashAccum struct {
-	counts map[int32]int32
-}
-
-func (a *hashAccum) inc(w int32)       { a.counts[w]++ }
-func (a *hashAccum) get(w int32) int64 { return int64(a.counts[w]) }
-
-func (a *hashAccum) drain(f func(c int64)) {
-	for _, c := range a.counts {
-		f(int64(c))
-	}
-	clear(a.counts)
-}
-
-func (a *hashAccum) reset() { clear(a.counts) }

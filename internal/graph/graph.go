@@ -25,7 +25,7 @@ type Bipartite struct {
 	adjT *sparse.CSR // Aᵀ: V2 → V1, pattern matrix
 
 	// Lazily-computed caches (see profile.go): the degree profile the
-	// adaptive execution policies read, and the degree-ordered twin the
+	// automatic relayout reads, and the degree-ordered twin the
 	// counting kernels stream. Both derive deterministically from the
 	// immutable adjacency, so they never invalidate.
 	prof   profCache

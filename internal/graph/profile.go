@@ -1,76 +1,47 @@
 package graph
 
 import (
-	"fmt"
 	"sync/atomic"
+
+	"butterfly/internal/sparse"
 )
 
-// DegreeProfile is the cheap shape summary the adaptive execution
-// policies read: per-side vertex counts, max and mean degrees, and the
-// degree skew (max/mean). It is computed from the CSR row pointers in
-// one O(|V1|+|V2|) pass — no edge traversal — and cached on the graph,
-// so every policy decision after the first is a pointer load.
+// DegreeProfile is the cheap shape summary the automatic relayout
+// reads: the edge count and the per-side degree skew (max/mean). It is
+// computed from the CSR row pointers in one O(|V1|+|V2|) pass — no edge
+// traversal — and cached on the graph, so every decision after the
+// first is a pointer load.
 //
 // Skew is the hub indicator: a side whose heaviest vertex carries many
 // times the mean degree concentrates wedge work (and accumulator
-// traffic) on few ids, which is what the aggregation-mode chooser and
-// the degree-ordered relayout key off.
+// traffic) on few ids, which is what the degree-ordered relayout keys
+// off.
 type DegreeProfile struct {
-	NumV1, NumV2       int
-	NumEdges           int64
-	MaxDegV1, MaxDegV2 int
-	MeanDegV1          float64
-	MeanDegV2          float64
-	SkewV1, SkewV2     float64
-}
-
-// Side returns the profile of one side as (width, maxDeg, meanDeg,
-// skew), where width is the number of vertices on that side. sideV1
-// selects V1.
-func (p DegreeProfile) Side(sideV1 bool) (width, maxDeg int, meanDeg, skew float64) {
-	if sideV1 {
-		return p.NumV1, p.MaxDegV1, p.MeanDegV1, p.SkewV1
-	}
-	return p.NumV2, p.MaxDegV2, p.MeanDegV2, p.SkewV2
-}
-
-// String renders the profile in a compact one-line form.
-func (p DegreeProfile) String() string {
-	return fmt.Sprintf("profile(|V1|=%d maxdeg=%d mean=%.2f skew=%.1f, |V2|=%d maxdeg=%d mean=%.2f skew=%.1f)",
-		p.NumV1, p.MaxDegV1, p.MeanDegV1, p.SkewV1,
-		p.NumV2, p.MaxDegV2, p.MeanDegV2, p.SkewV2)
+	NumEdges       int64
+	SkewV1, SkewV2 float64
 }
 
 // computeProfile derives the profile from the row-pointer arrays only.
 func computeProfile(g *Bipartite) *DegreeProfile {
-	p := &DegreeProfile{
-		NumV1:    g.NumV1(),
-		NumV2:    g.NumV2(),
-		NumEdges: g.NumEdges(),
-	}
-	for u := 0; u < p.NumV1; u++ {
-		if d := g.adj.RowDeg(u); d > p.MaxDegV1 {
-			p.MaxDegV1 = d
-		}
-	}
-	for v := 0; v < p.NumV2; v++ {
-		if d := g.adjT.RowDeg(v); d > p.MaxDegV2 {
-			p.MaxDegV2 = d
-		}
-	}
-	if p.NumV1 > 0 {
-		p.MeanDegV1 = float64(p.NumEdges) / float64(p.NumV1)
-	}
-	if p.NumV2 > 0 {
-		p.MeanDegV2 = float64(p.NumEdges) / float64(p.NumV2)
-	}
-	if p.MeanDegV1 > 0 {
-		p.SkewV1 = float64(p.MaxDegV1) / p.MeanDegV1
-	}
-	if p.MeanDegV2 > 0 {
-		p.SkewV2 = float64(p.MaxDegV2) / p.MeanDegV2
-	}
+	p := &DegreeProfile{NumEdges: g.NumEdges()}
+	p.SkewV1 = skew(g.adj)
+	p.SkewV2 = skew(g.adjT)
 	return p
+}
+
+// skew returns max/mean of a side's row degrees, or 0 for an empty
+// side.
+func skew(a *sparse.CSR) float64 {
+	if a.R == 0 || a.NNZ() == 0 {
+		return 0
+	}
+	maxDeg := 0
+	for i := 0; i < a.R; i++ {
+		if d := a.RowDeg(i); d > maxDeg {
+			maxDeg = d
+		}
+	}
+	return float64(maxDeg) / (float64(a.NNZ()) / float64(a.R))
 }
 
 // Profile returns the graph's degree profile, computing it on first use
@@ -127,6 +98,10 @@ func (g *Bipartite) DegreeOrdered() (h *Bipartite, permV1, permV2 []int32) {
 	rl := g.degOrd.Load()
 	return rl.g, rl.permV1, rl.permV2
 }
+
+// HasDegreeOrdered reports whether the degree-ordered twin is already
+// built, i.e. whether DegreeOrdered is a pointer load.
+func (g *Bipartite) HasDegreeOrdered() bool { return g.degOrd.Load() != nil }
 
 // profCache and degOrdCache are the lazily-populated caches embedded in
 // Bipartite. They live in their own struct types so Bipartite's

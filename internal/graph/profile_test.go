@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -18,35 +17,20 @@ func profGraph(t *testing.T) *Bipartite {
 func TestProfileValues(t *testing.T) {
 	g := profGraph(t)
 	p := g.Profile()
-	if p.NumV1 != 3 || p.NumV2 != 4 || p.NumEdges != 6 {
-		t.Fatalf("sizes wrong: %+v", p)
+	if p.NumEdges != 6 {
+		t.Fatalf("edge count wrong: %+v", p)
 	}
-	if p.MaxDegV1 != 4 || p.MaxDegV2 != 2 {
-		t.Fatalf("max degrees wrong: %+v", p)
-	}
-	if p.MeanDegV1 != 2 || p.MeanDegV2 != 1.5 {
-		t.Fatalf("mean degrees wrong: %+v", p)
-	}
+	// max/mean: V1 4/(6/3), V2 2/(6/4).
 	if p.SkewV1 != 2 || p.SkewV2 != 2/1.5 {
 		t.Fatalf("skew wrong: %+v", p)
-	}
-	w, m, mean, skew := p.Side(true)
-	if w != 3 || m != 4 || mean != 2 || skew != 2 {
-		t.Fatalf("Side(V1) wrong: %d %d %g %g", w, m, mean, skew)
-	}
-	w, m, _, _ = p.Side(false)
-	if w != 4 || m != 2 {
-		t.Fatalf("Side(V2) wrong: %d %d", w, m)
-	}
-	if !strings.Contains(p.String(), "maxdeg=4") {
-		t.Fatalf("String: %s", p.String())
 	}
 }
 
 func TestProfileEmptyGraph(t *testing.T) {
-	p := FromEdges(0, 0, nil).Profile()
-	if p.MaxDegV1 != 0 || p.MeanDegV1 != 0 || p.SkewV1 != 0 {
-		t.Fatalf("empty profile: %+v", p)
+	for _, g := range []*Bipartite{FromEdges(0, 0, nil), FromEdges(3, 4, nil)} {
+		if p := g.Profile(); p.NumEdges != 0 || p.SkewV1 != 0 || p.SkewV2 != 0 {
+			t.Fatalf("empty profile: %+v", p)
+		}
 	}
 }
 
@@ -60,7 +44,7 @@ func TestProfileConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				if g.Profile().MaxDegV1 != 4 {
+				if g.Profile().SkewV1 != 2 {
 					t.Error("profile corrupted")
 					return
 				}
@@ -77,7 +61,13 @@ func TestProfileConcurrent(t *testing.T) {
 
 func TestDegreeOrderedStructure(t *testing.T) {
 	g := profGraph(t)
+	if g.HasDegreeOrdered() {
+		t.Fatal("twin reported built before first use")
+	}
 	h, p1, p2 := g.DegreeOrdered()
+	if !g.HasDegreeOrdered() {
+		t.Fatal("twin not reported built after DegreeOrdered")
+	}
 	// Descending degree per side.
 	for u := 1; u < h.NumV1(); u++ {
 		if h.DegreeV1(u) > h.DegreeV1(u-1) {

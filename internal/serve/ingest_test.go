@@ -329,10 +329,13 @@ func TestDegradeToEstimate(t *testing.T) {
 		}
 	}
 
-	// Request A occupies the only slot.
+	// Request A occupies the only slot. It is not a count: every count
+	// of a graph version shares one cache key, so a count here would
+	// coalesce the requests below onto A's flight instead of
+	// contending for the slot.
 	aDone := make(chan error, 1)
 	go func() {
-		_, err := c.Count(ctx, "k44", serveapi.CountRequest{})
+		_, err := c.VertexCounts(ctx, "k44", serveapi.VertexCountsRequest{})
 		aDone <- err
 	}()
 	<-entered

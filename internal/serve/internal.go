@@ -81,23 +81,12 @@ func checkFloor(r *http.Request, snap *Snapshot) error {
 // is exported: the same wedge work as a local count, so it runs under
 // admission control and its encoded body is cached per version — a
 // full export also activates delta maintenance so later syncs go by
-// delta. The cache key includes the resolved aggregation mode
-// (`?agg=`), so a shard restarted under a different default policy
-// never aliases an old entry.
+// delta.
 func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	st := stateOf(r)
 	root := st.root()
 	q := r.URL.Query()
 
-	agg := butterfly.AggAuto
-	if a := q.Get("agg"); a != "" {
-		pol, err := butterfly.ParseAggPolicy(a)
-		if err != nil {
-			s.writeError(w, r, badReqf("unknown aggregation mode %q (want auto|sort|hash|hist|batch)", a))
-			return
-		}
-		agg = pol
-	}
 	var since, epoch uint64
 	if v := q.Get("since"); v != "" {
 		u, err := strconv.ParseUint(v, 10, 64)
@@ -165,9 +154,7 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	resolved := snap.Graph.ResolvedAgg(butterfly.CountOptions{Agg: agg}).String()
-
-	cacheKey := fmt.Sprintf("%s|%s|v%d|partial|agg=%s", st.api, snap.Name, snap.Version, resolved)
+	cacheKey := fmt.Sprintf("%s|%s|v%d|partial", st.api, snap.Name, snap.Version)
 	if !st.debug {
 		csp := root.Child("cache")
 		body, ok := s.cache.get(cacheKey)

@@ -140,11 +140,11 @@ func TestOverloadedEnvelope(t *testing.T) {
 	}()
 	<-hold
 
-	// The probe must NOT share the leader's cache key: family counts
-	// with the default aggregation all coalesce onto one flight (their
-	// bodies are byte-interchangeable), so an explicit agg forces a
-	// distinct execution that actually hits the full queue.
-	resp, body := rawDo(t, "POST", base+"/v1/graphs/k44/count", `{"agg":"sort"}`)
+	// The probe must NOT share the leader's cache key: every count
+	// coalesces onto one flight (their bodies are byte-interchangeable),
+	// so a different query forces a distinct execution that actually
+	// hits the full queue.
+	resp, body := rawDo(t, "POST", base+"/v1/graphs/k44/vertex-counts", `{}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", resp.StatusCode)
 	}

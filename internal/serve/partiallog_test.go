@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"math/rand"
@@ -37,53 +38,29 @@ func getPartial(t *testing.T, base, name, query string) (status int, body []byte
 	return resp.StatusCode, body, version, epoch, resp.Header.Get(PartialKindHeader), resp.Header.Get("X-Cache")
 }
 
-// TestPartialCacheKeyIncludesAgg is the regression test for the cache
-// key aliasing bug: two requests that resolve to different aggregation
-// modes must not share a cached body, while repeats of the same mode
-// must hit.
-func TestPartialCacheKeyIncludesAgg(t *testing.T) {
+// TestPartialCacheRepeatHit: the full partial export is cached per
+// graph version, so a repeated request is a hit serving the identical
+// body.
+func TestPartialCacheRepeatHit(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	c := client.New(ts.URL)
 	registerK44(t, c)
 
-	status, sortBody, _, _, _, xc := getPartial(t, ts.URL, "k44", "agg=sort")
+	status, first, _, _, _, xc := getPartial(t, ts.URL, "k44", "")
 	if status != http.StatusOK || xc != "miss" {
-		t.Fatalf("first agg=sort: status %d, X-Cache %q (want 200 miss)", status, xc)
+		t.Fatalf("first partial: status %d, X-Cache %q (want 200 miss)", status, xc)
 	}
-	if status, _, _, _, _, xc = getPartial(t, ts.URL, "k44", "agg=sort"); xc != "hit" {
-		t.Fatalf("repeat agg=sort: status %d, X-Cache %q (want hit)", status, xc)
+	status, again, _, _, _, xc := getPartial(t, ts.URL, "k44", "")
+	if status != http.StatusOK || xc != "hit" {
+		t.Fatalf("repeat partial: status %d, X-Cache %q (want 200 hit)", status, xc)
 	}
-	status, hashBody, _, _, _, xc := getPartial(t, ts.URL, "k44", "agg=hash")
-	if status != http.StatusOK || xc != "miss" {
-		t.Fatalf("first agg=hash: status %d, X-Cache %q (want 200 miss — agg missing from cache key?)", status, xc)
+	if !bytes.Equal(first, again) {
+		t.Fatal("cache hit served a different body")
 	}
-	if _, _, _, _, _, xc = getPartial(t, ts.URL, "k44", "agg=hash"); xc != "hit" {
-		t.Fatalf("repeat agg=hash: X-Cache %q (want hit)", xc)
-	}
-
-	// Different cache entries, same semantics: both bodies decode to
-	// the same partial map.
-	_, p1, err := serveapi.DecodePartial(sortBody)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, p2, err := serveapi.DecodePartial(hashBody)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p1) != len(p2) {
-		t.Fatalf("agg=sort and agg=hash partials differ: %d vs %d entries", len(p1), len(p2))
-	}
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("partials diverge at %d: %+v vs %+v", i, p1[i], p2[i])
-		}
-	}
-
-	if status, _, _, _, _, _ := getPartial(t, ts.URL, "k44", "agg=bogus"); status != http.StatusBadRequest {
-		t.Fatalf("agg=bogus: status %d, want 400", status)
+	if _, p, err := serveapi.DecodePartial(again); err != nil || len(p) == 0 {
+		t.Fatalf("cached partial decodes to %d entries, %v", len(p), err)
 	}
 }
 

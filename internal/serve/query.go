@@ -57,26 +57,6 @@ func countOptions(req *serveapi.CountRequest) (butterfly.CountOptions, error) {
 	if opts.Algorithm != butterfly.AlgorithmFamily && opts.Invariant != butterfly.InvariantAuto {
 		return opts, badReqf("invariant is only meaningful with the family algorithm")
 	}
-	switch req.Hub {
-	case "", "auto":
-		opts.Hub = butterfly.HubAuto
-	case "never":
-		opts.Hub = butterfly.HubNever
-	case "always":
-		opts.Hub = butterfly.HubAlways
-	default:
-		return opts, badReqf("unknown hub policy %q (want auto|never|always)", req.Hub)
-	}
-	if req.Agg != "" {
-		agg, err := butterfly.ParseAggPolicy(req.Agg)
-		if err != nil {
-			return opts, badReqf("unknown aggregation mode %q (want auto|sort|hash|hist|batch)", req.Agg)
-		}
-		if agg != butterfly.AggAuto && opts.Algorithm != butterfly.AlgorithmFamily {
-			return opts, badReqf("agg is only meaningful with the family algorithm")
-		}
-		opts.Agg = agg
-	}
 	switch req.Order {
 	case "", "natural":
 		opts.Order = butterfly.OrderNatural
@@ -97,38 +77,15 @@ func countOptions(req *serveapi.CountRequest) (butterfly.CountOptions, error) {
 
 // Cache keys. A key captures everything that can change the response
 // body and nothing else. The exact count is invariant across all
-// algorithms, invariants, hub policies, orders and thread counts —
-// that equivalence is the paper's core result and is what makes the
-// shared count key sound: a count served from cache is identical to a
-// count computed by any family member. Performance knobs therefore
-// never fragment the cache — with one exception: the response reports
-// the wedge-aggregation mode that ran (CountResponse.Agg), so requests
-// naming different modes produce different bodies and must key
-// separately (keyCountFor). The default "auto" spelling shares one
-// entry; which concrete mode auto resolves to is deterministic per
-// graph, so that entry is stable too.
+// algorithms, invariants, orders and thread counts — that equivalence
+// is the paper's core result and is what makes the shared count key
+// sound: a count served from cache is identical to a count computed by
+// any family member or baseline, and the response body names none of
+// the request's knobs.
 const (
-	keyCount = "count|agg=auto"
+	keyCount = "count"
 	keyEdges = "edge-supports"
 )
-
-// keyCountFor returns the count-result cache key for a request:
-// keyCount for a family count with the default aggregation, a
-// mode-suffixed variant for explicit modes, and a shared baseline key
-// for the non-family algorithms (whose responses carry no agg field,
-// so they cannot share a body with family counts — but do share one
-// with each other).
-func keyCountFor(req *serveapi.CountRequest) string {
-	switch req.Algorithm {
-	case "", "family":
-	default:
-		return "count|baseline"
-	}
-	if req.Agg == "" || req.Agg == "auto" {
-		return keyCount
-	}
-	return "count|agg=" + req.Agg
-}
 
 func keyVertex(side butterfly.Side, top int) string {
 	return fmt.Sprintf("vertex|%v|top=%d", side, top)
@@ -176,14 +133,10 @@ func (s *Server) execCount(ctx context.Context, snap *Snapshot, req *serveapi.Co
 	if err != nil {
 		return nil, err
 	}
-	resp := &serveapi.CountResponse{
+	return &serveapi.CountResponse{
 		ResultMeta:  serveapi.ResultMeta{Graph: snap.Name, Version: snap.Version},
 		Butterflies: c,
-	}
-	if opts.Algorithm == butterfly.AlgorithmFamily {
-		resp.Agg = snap.Graph.ResolvedAgg(opts).String()
-	}
-	return resp, nil
+	}, nil
 }
 
 // execVertexCounts computes per-vertex butterfly counts and keeps the

@@ -65,7 +65,8 @@ func TestRegisterAndCount(t *testing.T) {
 		{Invariant: 7, Threads: 2},
 		{Algorithm: "wedge-hash"},
 		{Algorithm: "spgemm", Threads: 2},
-		{Hub: "always"},
+		{Algorithm: "sort-aggregate"},
+		{Algorithm: "vertex-priority", Threads: 2},
 		{Order: "degree-desc", BlockSize: 2},
 	} {
 		resp, err := c.Count(ctx, "k44", req)
@@ -183,8 +184,6 @@ func TestBadInputs(t *testing.T) {
 	wantStatus(err, http.StatusBadRequest, "bad invariant")
 	_, err = c.Count(ctx, "k44", serveapi.CountRequest{Algorithm: "spgemm", Invariant: 2})
 	wantStatus(err, http.StatusBadRequest, "invariant with non-family")
-	_, err = c.Count(ctx, "k44", serveapi.CountRequest{Hub: "sometimes"})
-	wantStatus(err, http.StatusBadRequest, "bad hub")
 	_, err = c.VertexCounts(ctx, "k44", serveapi.VertexCountsRequest{Side: "v3"})
 	wantStatus(err, http.StatusBadRequest, "bad side")
 	_, err = c.Estimate(ctx, "k44", serveapi.EstimateRequest{Strategy: "edges", Samples: -1})
@@ -435,54 +434,26 @@ func TestLRUCacheEviction(t *testing.T) {
 	}
 }
 
-// TestCountAggField: family counts report the aggregation mode that
-// actually ran (never "auto"), all modes agree on the count, baseline
-// algorithms omit the field, and bad modes answer 400.
-func TestCountAggField(t *testing.T) {
+// TestCountRejectsKernelKnobs: the kernel's tuning knobs are not part
+// of the wire format, so a count request naming one answers 400 under
+// the strict body decoder instead of pinning a slow kernel.
+func TestCountRejectsKernelKnobs(t *testing.T) {
 	_, c := newTestServer(t, Config{})
-	ctx := context.Background()
+	base := urlOf(t, c)
 	registerK44(t, c)
-
-	for _, agg := range []string{"", "auto", "sort", "hash", "hist", "batch"} {
-		resp, err := c.Count(ctx, "k44", serveapi.CountRequest{Agg: agg})
-		if err != nil {
-			t.Fatalf("agg=%q: %v", agg, err)
+	for _, body := range []string{`{"hub":"always"}`, `{"agg":"sort"}`} {
+		resp, _ := rawDo(t, "POST", base+"/v1/graphs/k44/count", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", body, resp.StatusCode)
 		}
-		if resp.Butterflies != 36 {
-			t.Fatalf("agg=%q: %d butterflies, want 36", agg, resp.Butterflies)
-		}
-		switch agg {
-		case "", "auto":
-			if resp.Agg == "" || resp.Agg == "auto" {
-				t.Fatalf("auto request must report the concrete mode, got %q", resp.Agg)
-			}
-		default:
-			if resp.Agg != agg {
-				t.Fatalf("agg=%q reported %q", agg, resp.Agg)
-			}
-		}
-	}
-
-	resp, err := c.Count(ctx, "k44", serveapi.CountRequest{Algorithm: "wedge-hash"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Agg != "" {
-		t.Fatalf("baseline count must omit agg, got %q", resp.Agg)
-	}
-
-	if _, err := c.Count(ctx, "k44", serveapi.CountRequest{Agg: "bogus"}); err == nil {
-		t.Fatal("bad agg accepted")
-	}
-	if _, err := c.Count(ctx, "k44", serveapi.CountRequest{Agg: "sort", Algorithm: "spgemm"}); err == nil {
-		t.Fatal("agg with baseline algorithm accepted")
 	}
 }
 
-// TestResultCacheAggKeys: requests naming different aggregation modes
-// produce different response bodies (the reported mode), so they must
-// not share a cache entry — while repeats of the same mode still hit.
-func TestResultCacheAggKeys(t *testing.T) {
+// TestResultCacheSharedAcrossAlgorithms: the count is invariant
+// across algorithms, so every count request of a graph version shares
+// one cache entry — a baseline-algorithm count after a family count is
+// a hit, and so is any other knob combination.
+func TestResultCacheSharedAcrossAlgorithms(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	registerK44(t, c)
 
@@ -498,21 +469,15 @@ func TestResultCacheAggKeys(t *testing.T) {
 		return resp.Header.Get("X-Cache")
 	}
 	if xc := post(`{}`); xc != "miss" {
-		t.Fatalf("first auto count X-Cache = %q, want miss", xc)
+		t.Fatalf("first family count X-Cache = %q, want miss", xc)
 	}
-	// An explicit mode is a different response body: own entry.
-	if xc := post(`{"agg":"sort"}`); xc != "miss" {
-		t.Fatalf("first sort count X-Cache = %q, want miss", xc)
-	}
-	if xc := post(`{"agg":"sort"}`); xc != "hit" {
-		t.Fatalf("second sort count X-Cache = %q, want hit", xc)
-	}
-	// The explicit "auto" spelling shares the default's entry.
-	if xc := post(`{"agg":"auto"}`); xc != "hit" {
-		t.Fatalf("explicit auto X-Cache = %q, want hit", xc)
-	}
-	// Other performance knobs still share the mode's entry.
-	if xc := post(`{"agg":"sort","threads":2,"invariant":5}`); xc != "hit" {
-		t.Fatalf("equivalent sort query X-Cache = %q, want hit", xc)
+	for _, body := range []string{
+		`{"algorithm":"wedge-hash"}`,
+		`{"algorithm":"spgemm","threads":2}`,
+		`{"invariant":5,"threads":2,"order":"degree-desc"}`,
+	} {
+		if xc := post(body); xc != "hit" {
+			t.Fatalf("%s after a family count: X-Cache = %q, want hit", body, xc)
+		}
 	}
 }

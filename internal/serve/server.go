@@ -834,7 +834,7 @@ type flightOutcome struct {
 //     stay byte-identical between hit, miss and coalesced.
 //
 // The flight key is the cache key: API surface, graph, version and
-// normalized query (including the aggregation mode for counts) — the
+// normalized query (one shared query for every count) — the
 // same identity that makes two responses byte-interchangeable. Legacy
 // and /v1 requests therefore never share an execution, for the same
 // reason they do not share cache entries.
@@ -1096,7 +1096,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	psp.End()
-	s.serveQuery(w, r, req.TimeoutMillis, keyCountFor(&req), onShed, func(ctx context.Context, sl *slot, snap *Snapshot, ksp *obsv.Span) (any, error) {
+	s.serveQuery(w, r, req.TimeoutMillis, keyCount, onShed, func(ctx context.Context, sl *slot, snap *Snapshot, ksp *obsv.Span) (any, error) {
 		return s.execCount(ctx, snap, &req, ksp)
 	})
 }

@@ -85,13 +85,10 @@ func (e PeelEngine) String() string {
 	return "delta"
 }
 
-// PeelOptions configures an engine-dispatched peeling run.
-// PeelOptions deliberately has no Agg knob (unlike CountOptions): the
+// PeelOptions configures an engine-dispatched peeling run. The
 // peeling engines run per-vertex and per-edge masked counters whose
-// outputs are indexed by vertex/edge id, which requires the dense
-// histogram accumulator — the sort/hash/batch wedge-aggregation
-// kernels only apply to scalar whole-graph counts. This is the same
-// reason hub-split segments always aggregate through the histogram.
+// outputs are indexed by vertex/edge id, through the same dense
+// histogram accumulator as the scalar count.
 type PeelOptions struct {
 	// Engine selects the delta (zero value) or recount execution.
 	Engine PeelEngine

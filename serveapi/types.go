@@ -114,11 +114,9 @@ type ResultMeta struct {
 // optional — the zero value runs the automatically selected family
 // member sequentially. Algorithm is one of "family" (default),
 // "wedge-hash", "vertex-priority", "sort-aggregate", "spgemm";
-// Invariant picks the family member (0 = auto, 1–8); Hub is "auto",
-// "never" or "always"; Agg is the wedge-aggregation mode "auto"
-// (default), "sort", "hash", "hist" or "batch" (family algorithm
-// only); Order is "natural", "degree-asc" or "degree-desc". Threads
-// ≤ 0 means one worker per CPU.
+// Invariant picks the family member (0 = auto, 1–8); Order is
+// "natural", "degree-asc" or "degree-desc". Threads ≤ 0 means one
+// worker per CPU. Every combination returns the same count.
 //
 // Tenant and Priority identify the caller to the admission
 // controller (see docs/QOS.md): Tenant selects the token bucket and
@@ -135,8 +133,6 @@ type CountRequest struct {
 	Threads   int    `json:"threads,omitempty"`
 	BlockSize int    `json:"block,omitempty"`
 	Order     string `json:"order,omitempty"`
-	Hub       string `json:"hub,omitempty"`
-	Agg       string `json:"agg,omitempty"`
 	// TimeoutMillis overrides the server's default per-request
 	// deadline (capped by the server's maximum).
 	TimeoutMillis int    `json:"timeout_ms,omitempty"`
@@ -145,15 +141,11 @@ type CountRequest struct {
 }
 
 // CountResponse reports an exact count. ResultMeta identifies the
-// graph snapshot the count was computed on. Agg, present for family
-// counts, is the wedge-aggregation mode the count actually ran — the
-// concrete resolution of the request's "auto", never "auto" itself.
-// Trace is present only when the request asked for ?debug=true on
+// graph snapshot the count was computed on. Trace is present only when the request asked for ?debug=true on
 // the /v1 surface.
 type CountResponse struct {
 	ResultMeta
 	Butterflies int64      `json:"butterflies"`
-	Agg         string     `json:"agg,omitempty"`
 	ElapsedMS   int64      `json:"elapsed_ms"`
 	Trace       *TraceSpan `json:"trace,omitempty"`
 }

@@ -46,9 +46,9 @@ func TestWireFormat(t *testing.T) {
 		{
 			"CountRequest",
 			&CountRequest{Algorithm: "family", Invariant: 4, Threads: 2, BlockSize: 64,
-				Order: "degree-asc", Hub: "auto", TimeoutMillis: 5000},
+				Order: "degree-asc", TimeoutMillis: 5000},
 			`{"algorithm":"family","invariant":4,"threads":2,"block":64,` +
-				`"order":"degree-asc","hub":"auto","timeout_ms":5000}`,
+				`"order":"degree-asc","timeout_ms":5000}`,
 		},
 		{
 			"CountRequest zero is empty",
