@@ -22,30 +22,53 @@ func streamOf(g *graph.Bipartite) [][2]int {
 	return out
 }
 
+// TestReservoirExactRegime: a reservoir at least as large as the
+// stream holds every edge, so its estimate is the exact count with zero
+// error bars — whatever the stream order or seed, and 0 for an empty
+// stream.
 func TestReservoirExactRegime(t *testing.T) {
-	g := gen.PowerLawBipartite(100, 80, 500, 0.7, 0.7, 3)
-	exact := core.CountAuto(g)
-	r, err := NewReservoir(100, 80, int(g.NumEdges())+10, 1)
-	if err != nil {
-		t.Fatal(err)
+	pl := gen.PowerLawBipartite(100, 80, 500, 0.7, 0.7, 3)
+	k55 := gen.CompleteBipartite(5, 5)
+	reversed := streamOf(k55)
+	for i, j := 0, len(reversed)-1; i < j; i, j = i+1, j-1 {
+		reversed[i], reversed[j] = reversed[j], reversed[i]
 	}
-	for _, e := range streamOf(g) {
-		if err := r.Add(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := r.Snapshot()
-	if !snap.Exact {
-		t.Fatalf("reservoir larger than stream should be exact")
-	}
-	if snap.Estimate != float64(exact) {
-		t.Fatalf("exact-regime estimate %g, want %d", snap.Estimate, exact)
-	}
-	if snap.StdErr != 0 || snap.CI95 != 0 {
-		t.Fatalf("exact-regime error bars must be zero, got %g/%g", snap.StdErr, snap.CI95)
-	}
-	if snap.EdgesSeen != g.NumEdges() || snap.ReservoirSize != int(g.NumEdges()) {
-		t.Fatalf("snapshot bookkeeping: seen=%d size=%d want %d", snap.EdgesSeen, snap.ReservoirSize, g.NumEdges())
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Bipartite
+		stream [][2]int
+		seed   int64
+	}{
+		{"powerLaw", pl, streamOf(pl), 1},
+		{"k55Forward", k55, streamOf(k55), 1},
+		{"k55Reversed", k55, reversed, 2},
+		{"empty", gen.CompleteBipartite(0, 0), nil, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			exact := core.CountAuto(tc.g)
+			r, err := NewReservoir(tc.g.NumV1(), tc.g.NumV2(), int(tc.g.NumEdges())+10, tc.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range tc.stream {
+				if err := r.Add(e[0], e[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap := r.Snapshot()
+			if !snap.Exact {
+				t.Fatalf("reservoir larger than stream should be exact")
+			}
+			if snap.Estimate != float64(exact) {
+				t.Fatalf("exact-regime estimate %g, want %d", snap.Estimate, exact)
+			}
+			if snap.StdErr != 0 || snap.CI95 != 0 {
+				t.Fatalf("exact-regime error bars must be zero, got %g/%g", snap.StdErr, snap.CI95)
+			}
+			if snap.EdgesSeen != tc.g.NumEdges() || snap.ReservoirSize != int(tc.g.NumEdges()) {
+				t.Fatalf("snapshot bookkeeping: seen=%d size=%d want %d", snap.EdgesSeen, snap.ReservoirSize, tc.g.NumEdges())
+			}
+		})
 	}
 }
 

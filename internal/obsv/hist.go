@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -137,9 +139,13 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 type family struct {
 	name    string
 	help    string
-	kind    string // "counter" | "histogram"
+	kind    string // "counter" | "histogram" | "gauge"
 	labels  []string
 	buckets []float64 // histograms only
+
+	// collect, when set, produces the series at scrape time (a Func
+	// family); series is then unused.
+	collect func() []sampleText
 
 	mu     sync.Mutex
 	series map[string]*series
@@ -205,9 +211,10 @@ type HistogramVec struct{ f *family }
 // on first use.
 func (v *HistogramVec) With(vals ...string) *Histogram { return v.f.with(vals).h }
 
-// Registry holds metric families and renders them in the Prometheus
-// text exposition format (version 0.0.4). Families render sorted by
-// name; series within a family sort by label values.
+// Registry holds metric families (stored counters and histograms, and
+// Func families read at scrape time) and renders them in the
+// Prometheus text exposition format (version 0.0.4). Families render
+// sorted by name; series within a family sort by label values.
 type Registry struct {
 	mu   sync.Mutex
 	fams []*family
@@ -250,6 +257,61 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 	return v
 }
 
+// Number is the value type of a Func family. Integer types render as
+// exact integers; float64 renders in the shortest %g form.
+type Number interface {
+	int | int64 | uint64 | float64
+}
+
+// Sample is one series of a Func family: its label values, in the
+// family's label order, and its value at scrape time.
+type Sample[T Number] struct {
+	Labels []string
+	Value  T
+}
+
+// sampleText is a Sample with its value already formatted.
+type sampleText struct {
+	labelVals []string
+	val       string
+}
+
+// Func registers a family of kind "gauge" or "counter" whose series
+// are not stored in the registry but produced by collect at every
+// scrape: the shape for values another component already owns (a
+// queue depth, a cache's hit count, per-graph state). collect must be
+// safe for concurrent use and return one label value per label name.
+func Func[T Number](r *Registry, name, help, kind string, collect func() []Sample[T], labels ...string) {
+	if kind != "gauge" && kind != "counter" {
+		panic("obsv: Func family " + name + " has kind " + kind + ", want gauge or counter")
+	}
+	r.add(&family{name: name, help: help, kind: kind, labels: labels, collect: func() []sampleText {
+		samples := collect()
+		out := make([]sampleText, len(samples))
+		for i, s := range samples {
+			if len(s.Labels) != len(labels) {
+				panic(fmt.Sprintf("obsv: %s expects %d label values, got %d", name, len(labels), len(s.Labels)))
+			}
+			out[i] = sampleText{labelVals: s.Labels, val: formatNumber(s.Value)}
+		}
+		slices.SortStableFunc(out, func(a, b sampleText) int { return slices.Compare(a.labelVals, b.labelVals) })
+		return out
+	}})
+}
+
+func formatNumber[T Number](v T) string {
+	switch x := any(v).(type) {
+	case int:
+		return strconv.Itoa(x)
+	case int64:
+		return strconv.FormatInt(x, 10)
+	case uint64:
+		return strconv.FormatUint(x, 10)
+	default:
+		return strconv.FormatFloat(float64(v), 'g', -1, 64)
+	}
+}
+
 // labelString renders {l1="v1",l2="v2"} (empty for no labels); extra
 // appends one more pair (the histogram `le` label).
 func labelString(names, vals []string, extraName, extraVal string) string {
@@ -284,6 +346,12 @@ func (r *Registry) WriteProm(w io.Writer) {
 	for _, f := range fams {
 		fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
 		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind)
+		if f.collect != nil {
+			for _, s := range f.collect() {
+				fmt.Fprintf(w, "%s%s %s\n", f.name, labelString(f.labels, s.labelVals, "", ""), s.val)
+			}
+			continue
+		}
 		for _, s := range f.sorted() {
 			switch f.kind {
 			case "counter":

@@ -182,3 +182,64 @@ func TestSlowLog(t *testing.T) {
 		t.Fatal("nil writer should yield nil log")
 	}
 }
+
+// TestRegistryFuncFamily: Func families are read at scrape time, sort
+// their series by label values, print integer values as exact integers
+// (no %g exponent) and float values in %g, and render their header even
+// when collect reports no series.
+func TestRegistryFuncFamily(t *testing.T) {
+	r := NewRegistry()
+	depth := int64(3)
+	Func(r, "test_depth", "Depth.", "gauge", func() []Sample[int64] {
+		return []Sample[int64]{{Value: depth}}
+	})
+	Func(r, "test_butterflies", "Butterflies.", "gauge", func() []Sample[int64] {
+		return []Sample[int64]{{Labels: []string{"zeta"}, Value: 24502500}, {Labels: []string{"alpha"}, Value: 1 << 60}}
+	}, "graph")
+	Func(r, "test_hits_total", "Hits.", "counter", func() []Sample[uint64] {
+		return []Sample[uint64]{{Value: 7}}
+	})
+	Func(r, "test_ratio", "Ratio.", "gauge", func() []Sample[float64] {
+		return []Sample[float64]{{Labels: []string{"a", "x"}, Value: 0.5}}
+	}, "tenant", "reason")
+	Func(r, "test_empty", "Empty.", "gauge", func() []Sample[int] { return nil }, "graph")
+	depth = 9
+
+	var b bytes.Buffer
+	r.WriteProm(&b)
+	out := b.String()
+	for _, want := range []string{
+		"# TYPE test_depth gauge\ntest_depth 9\n",
+		"# TYPE test_butterflies gauge\ntest_butterflies{graph=\"alpha\"} 1152921504606846976\ntest_butterflies{graph=\"zeta\"} 24502500\n",
+		"# TYPE test_hits_total counter\ntest_hits_total 7\n",
+		`test_ratio{tenant="a",reason="x"} 0.5`,
+		"# HELP test_empty Empty.\n# TYPE test_empty gauge\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
+	}
+
+	for name, fn := range map[string]func(){
+		"histogramKind": func() {
+			Func(r, "test_bad", "Bad.", "histogram", func() []Sample[int] { return nil })
+		},
+		"duplicate": func() {
+			Func(r, "test_depth", "Again.", "gauge", func() []Sample[int] { return nil })
+		},
+		"labelArity": func() {
+			r2 := NewRegistry()
+			Func(r2, "test_arity", "Arity.", "gauge", func() []Sample[int] { return []Sample[int]{{Value: 1}} }, "graph")
+			r2.WriteProm(&bytes.Buffer{})
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}

@@ -14,6 +14,10 @@
 //   - A Histogram is a fixed-bucket, atomics-only latency/size
 //     histogram; a Registry groups counter and histogram families and
 //     renders them in the Prometheus text exposition format.
+//   - Func registers a gauge or counter family whose series a callback
+//     produces at scrape time, for values another component already
+//     owns (a queue depth, a cache's hit count, per-graph state).
+//     Integer-typed values print as exact integers.
 //   - A SlowLog emits one JSON line per over-threshold request.
 //
 // Compute kernels (internal/core, internal/peel) do not import this

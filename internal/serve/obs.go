@@ -1,14 +1,15 @@
 package serve
 
-// Per-request observability: the API-surface tag, the request state
-// carried through the handler chain (trace + debug knob), the
-// obsv-backed metric families, the span→wire conversion, and the
-// slow-query log entry. The flat legacy metrics in metrics.go keep
-// their exact exposition; everything here is additive.
+// Observability: the API-surface tag, the request state carried
+// through the handler chain (trace + debug knob), the server's one
+// metrics registry (events recorded per request, plus families read at
+// scrape time from the components that own the values), the span→wire
+// conversion, and the slow-query log entry.
 
 import (
 	"context"
 	"net/http"
+	"strconv"
 	"time"
 
 	"butterfly/internal/obsv"
@@ -89,19 +90,27 @@ func debugRequested(r *http.Request) bool {
 	return false
 }
 
-// obsMetrics are the histogram-backed metric families introduced by
-// the observability layer, rendered after the flat legacy metrics on
-// /metrics. Route and stage label sets are bounded by construction
-// (routes come from the static endpoint table; stages are the fixed
-// top-level span names), so cardinality cannot run away.
+// requestBuckets are the bfserved_request_seconds bounds: half-decade
+// spacing from 1 ms to 10 s. The family is older than
+// obsv.LatencyBuckets and keeps its own `le` bounds.
+var requestBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10}
+
+// obsMetrics is the server's one metrics registry. The vectors below
+// are the events the server records itself; newObsMetrics also
+// registers the families read at scrape time. Route and stage label
+// sets are bounded by construction (routes come from the static
+// endpoint table; stages are the fixed top-level span names), so
+// cardinality cannot run away.
 type obsMetrics struct {
-	reg           *obsv.Registry
-	routeSeconds  *obsv.HistogramVec // {route, api}
-	stageSeconds  *obsv.HistogramVec // {stage}
-	responseBytes *obsv.HistogramVec
-	slowQueries   *obsv.CounterVec
-	estimates     *obsv.CounterVec // {kind}
-	ingestEdges   *obsv.CounterVec
+	reg            *obsv.Registry
+	requests       *obsv.CounterVec   // {route, code}
+	requestSeconds *obsv.Histogram    // every finished request
+	routeSeconds   *obsv.HistogramVec // {route, api}
+	stageSeconds   *obsv.HistogramVec // {stage}
+	responseBytes  *obsv.HistogramVec
+	slowQueries    *obsv.CounterVec
+	estimates      *obsv.CounterVec // {kind}
+	ingestEdges    *obsv.CounterVec
 	// tenantSeconds is the per-tenant latency histogram behind the QoS
 	// layer's p99 acceptance numbers. The tenant label set is bounded:
 	// unresolvable names collapse to "default" before they get here.
@@ -113,12 +122,23 @@ type obsMetrics struct {
 	// unversioned aliases, by route — the signal for when the sunset
 	// can complete.
 	legacyReqs *obsv.CounterVec // {route}
+	// checkpointErrors counts failed checkpoints (background or
+	// admin-triggered), so operators can alert on a store that stopped
+	// compacting. Registered only when the server has a store.
+	checkpointErrors *obsv.Counter
 }
 
-func newObsMetrics() *obsMetrics {
+// newObsMetrics builds the registry for s. The limiter, result cache,
+// graph registry and store must already be set: their values are read
+// at scrape time rather than copied.
+func newObsMetrics(s *Server) *obsMetrics {
 	reg := obsv.NewRegistry()
-	return &obsMetrics{
+	m := &obsMetrics{
 		reg: reg,
+		requests: reg.Counter("bfserved_requests_total",
+			"Finished HTTP requests by route and status code.", "route", "code"),
+		requestSeconds: reg.Histogram("bfserved_request_seconds",
+			"Latency of finished HTTP requests.", requestBuckets).With(),
 		routeSeconds: reg.Histogram("bfserved_route_seconds",
 			"Latency of finished HTTP requests by route and API surface.",
 			obsv.LatencyBuckets, "route", "api"),
@@ -143,12 +163,118 @@ func newObsMetrics() *obsMetrics {
 			"Requests on the deprecated unversioned routes, by route.",
 			"route"),
 	}
+
+	// Result cache.
+	single(reg, "bfserved_cache_hits_total", "Result-cache hits.", "counter",
+		func() uint64 { h, _, _ := s.cache.stats(); return h })
+	single(reg, "bfserved_cache_misses_total", "Result-cache misses.", "counter",
+		func() uint64 { _, miss, _ := s.cache.stats(); return miss })
+	single(reg, "bfserved_cache_entries", "Result-cache current size.", "gauge",
+		func() int { _, _, n := s.cache.stats(); return n })
+	obsv.Func(reg, "bfserved_cache_hit_ratio", "Hits / (hits + misses) since start.", "gauge",
+		func() []obsv.Sample[float64] {
+			h, miss, _ := s.cache.stats()
+			if h+miss == 0 {
+				return nil
+			}
+			return []obsv.Sample[float64]{{Value: float64(h) / float64(h+miss)}}
+		})
+
+	// Admission control and per-tenant QoS.
+	single(reg, "bfserved_in_flight", "Requests currently executing.", "gauge", s.lim.inFlight)
+	single(reg, "bfserved_queue_depth", "Requests waiting for an execution slot.", "gauge", s.lim.queueDepth)
+	single(reg, "bfserved_shed_total", "Requests rejected with 429 because the queue was full.", "counter", s.lim.shedTotal)
+	perTenant(reg, s.lim, "bfserved_tenant_admitted_total", "Requests granted an execution slot, per tenant.", "counter",
+		func(ts tenantStat) uint64 { return ts.admitted })
+	obsv.Func(reg, "bfserved_tenant_shed_total",
+		"Requests shed per tenant by reason: queue (bounded queue full) or quota (token bucket empty).", "counter",
+		func() []obsv.Sample[uint64] {
+			var out []obsv.Sample[uint64]
+			for _, ts := range s.lim.tenantStats() {
+				out = append(out,
+					obsv.Sample[uint64]{Labels: []string{ts.name, "queue"}, Value: ts.shedQueue},
+					obsv.Sample[uint64]{Labels: []string{ts.name, "quota"}, Value: ts.shedQuota})
+			}
+			return out
+		}, "tenant", "reason")
+	perTenant(reg, s.lim, "bfserved_tenant_evicted_total",
+		"Queued requests abandoned before dispatch (deadline expiry or disconnect), per tenant.", "counter",
+		func(ts tenantStat) uint64 { return ts.evicted })
+	perTenant(reg, s.lim, "bfserved_tenant_queue_depth", "Requests currently waiting for a slot, per tenant.", "gauge",
+		func(ts tenantStat) int { return ts.queued })
+	perTenant(reg, s.lim, "bfserved_tenant_weight", "Configured weighted-round-robin weight, per tenant.", "gauge",
+		func(ts tenantStat) int { return ts.weight })
+	perTenant(reg, s.lim, "bfserved_tenant_slo_burn",
+		"Error-budget burn rate against the tenant's latency SLO (1.0 = spending the budget of a 99% objective exactly).", "gauge",
+		func(ts tenantStat) float64 { return ts.burn })
+
+	// Durability (only when the daemon runs with a data dir).
+	if s.store != nil {
+		single(reg, "bfserved_wal_bytes", "Current write-ahead log length.", "gauge", s.store.WALSize)
+		single(reg, "bfserved_wal_fsyncs_total",
+			"Completed WAL fsyncs (group commit batches many appends per fsync).", "counter", s.store.WALSyncs)
+		single(reg, "bfserved_checkpoints_total", "Completed snapshot checkpoints.", "counter", s.store.Checkpoints)
+		m.checkpointErrors = reg.Counter("bfserved_checkpoint_errors_total", "Failed checkpoints.").With()
+	}
+
+	// Streaming ingest and per-graph state.
+	single(reg, "bfserved_open_ingests", "Streaming ingests currently open (graphs in the loading state).", "gauge",
+		func() int { return len(s.reg.Ingests()) })
+	obsv.Func(reg, "bfserved_ingest_edges_seen", "Edges consumed so far by each open ingest.", "gauge",
+		func() []obsv.Sample[int64] {
+			var out []obsv.Sample[int64]
+			for _, ing := range s.reg.Ingests() {
+				out = append(out, obsv.Sample[int64]{Labels: []string{ing.name}, Value: ing.res.Seen()})
+			}
+			return out
+		}, "graph")
+	perGraph(reg, s.reg, "bfserved_graph_version", "Current version of each registered graph.",
+		func(sn *Snapshot) uint64 { return sn.Version })
+	perGraph(reg, s.reg, "bfserved_graph_edges", "Edge count of each registered graph's current version.",
+		func(sn *Snapshot) int64 { return sn.Graph.NumEdges() })
+	perGraph(reg, s.reg, "bfserved_graph_butterflies", "Exact butterfly count of each registered graph's current version.",
+		func(sn *Snapshot) int64 { return sn.Count })
+	return m
 }
 
-// observeRequest records one finished request into the histogram
-// families: route latency, response size, and one stage-seconds
-// observation per top-level span of the request's trace.
-func (m *obsMetrics) observeRequest(st *reqState, elapsed time.Duration, bytes int64) {
+// single registers a label-free family whose one value read returns
+// at scrape time.
+func single[T obsv.Number](reg *obsv.Registry, name, help, kind string, read func() T) {
+	obsv.Func(reg, name, help, kind, func() []obsv.Sample[T] { return []obsv.Sample[T]{{Value: read()}} })
+}
+
+// perTenant registers a family with one series per known tenant.
+func perTenant[T obsv.Number](reg *obsv.Registry, lim *limiter, name, help, kind string, read func(tenantStat) T) {
+	obsv.Func(reg, name, help, kind, func() []obsv.Sample[T] {
+		stats := lim.tenantStats()
+		out := make([]obsv.Sample[T], len(stats))
+		for i, ts := range stats {
+			out[i] = obsv.Sample[T]{Labels: []string{ts.name}, Value: read(ts)}
+		}
+		return out
+	}, "tenant")
+}
+
+// perGraph registers a gauge family with one series per registered
+// graph, read from its current snapshot.
+func perGraph[T obsv.Number](reg *obsv.Registry, r *Registry, name, help string, read func(*Snapshot) T) {
+	obsv.Func(reg, name, help, "gauge", func() []obsv.Sample[T] {
+		snaps := r.Snapshots()
+		out := make([]obsv.Sample[T], len(snaps))
+		for i, sn := range snaps {
+			out[i] = obsv.Sample[T]{Labels: []string{sn.Name}, Value: read(sn)}
+		}
+		return out
+	}, "graph")
+}
+
+// observeRequest records one finished request: its route and status
+// code, its latency in the request, route and tenant histograms, its
+// response size, and one stage-seconds observation per top-level span
+// of its trace.
+func (m *obsMetrics) observeRequest(st *reqState, code int, elapsed time.Duration, bytes int64) {
+	m.requests.With(st.route, strconv.Itoa(code)).Inc()
+	m.requestSeconds.Observe(elapsed.Seconds())
 	m.routeSeconds.With(st.route, st.api.String()).Observe(elapsed.Seconds())
 	m.responseBytes.With().Observe(float64(bytes))
 	if st.tenant != "" {

@@ -124,14 +124,13 @@ func (c Config) withDefaults() Config {
 // admission control, deadlines, result caching and metrics. Construct
 // with New; it is an http.Handler.
 type Server struct {
-	cfg     Config
-	reg     *Registry
-	lim     *limiter
-	cache   *resultCache
-	metrics *metrics
-	obs     *obsMetrics
-	slow    *obsv.SlowLog
-	mux     *http.ServeMux
+	cfg   Config
+	reg   *Registry
+	lim   *limiter
+	cache *resultCache
+	obs   *obsMetrics
+	slow  *obsv.SlowLog
+	mux   *http.ServeMux
 	// arena pools counting workspaces across requests; the pool is
 	// concurrency-safe and sheds nothing on mismatch, so one shared
 	// arena serves every graph.
@@ -161,16 +160,15 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		reg:     NewRegistry(),
-		lim:     newQoSLimiter(cfg.MaxInFlight, cfg.MaxQueue, cfg.Tenants),
-		cache:   newResultCache(cfg.CacheEntries),
-		metrics: newMetrics(),
-		obs:     newObsMetrics(),
-		slow:    obsv.NewSlowLog(cfg.SlowQueryLog, cfg.SlowQueryThreshold),
-		arena:   butterfly.NewArena(),
-		store:   cfg.Store,
+		cfg:   cfg,
+		reg:   NewRegistry(),
+		lim:   newQoSLimiter(cfg.MaxInFlight, cfg.MaxQueue, cfg.Tenants),
+		cache: newResultCache(cfg.CacheEntries),
+		slow:  obsv.NewSlowLog(cfg.SlowQueryLog, cfg.SlowQueryThreshold),
+		arena: butterfly.NewArena(),
+		store: cfg.Store,
 	}
+	s.obs = newObsMetrics(s)
 	s.routes()
 	if s.store != nil {
 		s.reg.SetPersister(s.store)
@@ -204,7 +202,7 @@ func (s *Server) checkpointLoop() {
 		case <-s.ckptCh:
 			if s.store.ShouldCheckpoint() {
 				if _, err := s.checkpoint(); err != nil {
-					s.metrics.noteCheckpointError()
+					s.obs.checkpointErrors.Inc()
 				}
 			}
 		case <-s.stopCh:
@@ -395,8 +393,7 @@ func (s *Server) instrument(route string, api apiVer, h http.HandlerFunc) http.H
 			h(sw, r)
 		}
 		elapsed := time.Since(start)
-		s.metrics.observe(route, sw.code, elapsed)
-		s.obs.observeRequest(st, elapsed, sw.bytes)
+		s.obs.observeRequest(st, sw.code, elapsed, sw.bytes)
 		s.lim.observe(st.tenant, elapsed)
 		if s.slow.Should(elapsed) {
 			s.obs.slowQueries.With().Inc()
@@ -556,7 +553,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.write(w, s)
 	s.obs.reg.WriteProm(w)
 }
 
@@ -738,7 +734,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	stats, err := s.checkpoint()
 	csp.End()
 	if err != nil {
-		s.metrics.noteCheckpointError()
+		s.obs.checkpointErrors.Inc()
 		s.writeError(w, r, fmt.Errorf("checkpoint: %w", err))
 		return
 	}
@@ -894,24 +890,25 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, timeoutMS in
 
 	// Every request pays its own tenant's quota before anything is
 	// shared: coalesced followers ride the leader's execution, never
-	// its budget.
-	asp := root.Child("admission")
+	// its budget. The request's one top-level admission stage covers
+	// the charge and, for a request that executes, its slot wait.
+	chargeStart := time.Now()
 	err = s.lim.charge(st.tenant)
-	asp.End()
+	charged := time.Since(chargeStart)
 	if err != nil {
+		root.Stage("admission", charged)
 		s.writeError(w, r, err)
 		return
 	}
 
-	if st.debug {
-		ctx, cancel := context.WithTimeout(r.Context(), s.timeout(timeoutMS))
-		defer cancel()
-		qsp := root.Child("admission")
-		err = s.lim.acquireSlot(ctx, st.tenant, st.lane)
-		qsp.End()
+	// run waits for an execution slot, which closes the admission
+	// stage, then executes the query in it.
+	run := func(ctx context.Context) (any, error) {
+		waitStart := time.Now()
+		err := s.lim.acquireSlot(ctx, st.tenant, st.lane)
+		root.Stage("admission", charged+time.Since(waitStart))
 		if err != nil {
-			s.writeError(w, r, err)
-			return
+			return nil, err
 		}
 		sl := &slot{lim: s.lim}
 		defer sl.release()
@@ -921,10 +918,20 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, timeoutMS in
 		resp, err := exec(ctx, sl, snap, ksp)
 		ksp.End()
 		if err != nil {
+			return nil, err
+		}
+		setElapsed(resp, time.Since(start).Milliseconds())
+		return resp, nil
+	}
+
+	if st.debug {
+		ctx, cancel := context.WithTimeout(r.Context(), s.timeout(timeoutMS))
+		defer cancel()
+		resp, err := run(ctx)
+		if err != nil {
 			s.writeError(w, r, err)
 			return
 		}
-		setElapsed(resp, time.Since(start).Milliseconds())
 		// Debug responses carry their span tree and are never cached.
 		s.writeOK(w, r, http.StatusOK, resp)
 		return
@@ -933,23 +940,10 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, timeoutMS in
 	out, joined := s.flights.Do(cacheKey, func() flightOutcome {
 		ctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), s.timeout(timeoutMS))
 		defer cancel()
-		qsp := root.Child("admission")
-		err := s.lim.acquireSlot(ctx, st.tenant, st.lane)
-		qsp.End()
+		resp, err := run(ctx)
 		if err != nil {
 			return flightOutcome{err: err}
 		}
-		sl := &slot{lim: s.lim}
-		defer sl.release()
-		start := time.Now()
-		ksp := root.Child("kernel")
-		s.compute(ctx)
-		resp, err := exec(ctx, sl, snap, ksp)
-		ksp.End()
-		if err != nil {
-			return flightOutcome{err: err}
-		}
-		setElapsed(resp, time.Since(start).Milliseconds())
 		body, err := json.Marshal(resp)
 		if err != nil {
 			return flightOutcome{err: err}
@@ -959,6 +953,9 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, timeoutMS in
 		return flightOutcome{body: body}
 	})
 	if joined {
+		// A follower never waits for a slot: its admission stage is the
+		// charge alone, recorded once the shared result arrives.
+		root.Stage("admission", charged)
 		s.obs.coalesced.With().Inc()
 	}
 	if out.err != nil {
