@@ -24,7 +24,9 @@ func NewDynamicCounter(m, n int) (*DynamicCounter, error) {
 	return &DynamicCounter{c: dynamic.New(m, n)}, nil
 }
 
-// NewDynamicCounterFromGraph seeds a counter with g's edges.
+// NewDynamicCounterFromGraph seeds a counter with g's edges: one copy
+// of g's adjacency plus one static count of g. The counter never
+// shares memory with g.
 func NewDynamicCounterFromGraph(g *Graph) *DynamicCounter {
 	return &DynamicCounter{c: dynamic.FromGraph(g.g)}
 }

@@ -9,22 +9,31 @@
 //
 // new butterflies (its support in the post-insertion graph), and
 // deleting an edge destroys its pre-deletion support. Each update
-// costs O(Σ_{w∈N(v)} min(deg u, deg w)) set intersections — far below
-// a recount for local changes. This is the building block for
+// costs O(Σ_{w∈N(v)} min(deg u, deg w)) sorted-row intersections — far
+// below a recount for local changes. This is the building block for
 // streaming butterfly analytics over evolving bipartite graphs.
+//
+// The adjacency is held in both orientations as sorted per-vertex
+// []int32 rows, the representation merge-intersection counters rely
+// on. Seeding from an existing graph copies its CSR arrays once and
+// takes the initial count from the static kernel, so seeding costs
+// about one static count.
 package dynamic
 
 import (
 	"fmt"
+	"slices"
 
+	"butterfly/internal/core"
 	"butterfly/internal/graph"
+	"butterfly/internal/sparse"
 )
 
 // Counter is a mutable bipartite graph with an incrementally
 // maintained butterfly count. Not safe for concurrent mutation.
 type Counter struct {
-	adj   []map[int32]struct{} // u ∈ V1 → neighbor set in V2
-	adjT  []map[int32]struct{} // v ∈ V2 → neighbor set in V1
+	adj   [][]int32 // u ∈ V1 → sorted neighbors in V2
+	adjT  [][]int32 // v ∈ V2 → sorted neighbors in V1
 	edges int64
 	count int64
 }
@@ -34,32 +43,33 @@ func New(m, n int) *Counter {
 	if m < 0 || n < 0 {
 		panic(fmt.Sprintf("dynamic: negative vertex-set size %d/%d", m, n))
 	}
-	c := &Counter{
-		adj:  make([]map[int32]struct{}, m),
-		adjT: make([]map[int32]struct{}, n),
-	}
-	for i := range c.adj {
-		c.adj[i] = make(map[int32]struct{})
-	}
-	for i := range c.adjT {
-		c.adjT[i] = make(map[int32]struct{})
-	}
-	return c
+	return &Counter{adj: make([][]int32, m), adjT: make([][]int32, n)}
 }
 
-// FromGraph seeds a counter with an existing graph. Cost: one pass to
-// load adjacency plus one incremental insert per edge (so the initial
-// count is itself produced by the update rule — a deliberate
-// self-check; use core.Count* + manual loading when seeding giant
-// graphs).
+// FromGraph seeds a counter with an existing graph: one copy of each
+// CSR orientation plus one sequential static count (core.CountAuto),
+// whose degree-ordered twin stays cached on g for later counts of it.
+// The counter never aliases g's arrays, so g stays immutable.
 func FromGraph(g *graph.Bipartite) *Counter {
-	c := New(g.NumV1(), g.NumV2())
-	for u := 0; u < g.NumV1(); u++ {
-		for _, v := range g.NeighborsOfV1(u) {
-			c.InsertEdge(u, int(v))
-		}
+	return &Counter{
+		adj:   rowsOf(g.Adj()),
+		adjT:  rowsOf(g.AdjT()),
+		edges: g.NumEdges(),
+		count: core.CountAuto(g),
 	}
-	return c
+}
+
+// rowsOf copies a's column array once and slices it into rows. Each
+// row's capacity ends at its own length, so growing one row
+// reallocates that row alone and never overwrites its successor.
+func rowsOf(a *sparse.CSR) [][]int32 {
+	col := slices.Clone(a.Col)
+	rows := make([][]int32, a.R)
+	for i := range rows {
+		lo, hi := a.Ptr[i], a.Ptr[i+1]
+		rows[i] = col[lo:hi:hi]
+	}
+	return rows
 }
 
 // NumV1 returns |V1|.
@@ -79,7 +89,7 @@ func (c *Counter) HasEdge(u, v int) bool {
 	if u < 0 || u >= len(c.adj) || v < 0 || v >= len(c.adjT) {
 		return false
 	}
-	_, ok := c.adj[u][int32(v)]
+	_, ok := slices.BinarySearch(c.adj[u], int32(v))
 	return ok
 }
 
@@ -93,11 +103,13 @@ func (c *Counter) check(u, v int) {
 // number of butterflies it created.
 func (c *Counter) InsertEdge(u, v int) (added bool, delta int64) {
 	c.check(u, v)
-	if _, dup := c.adj[u][int32(v)]; dup {
+	i, dup := slices.BinarySearch(c.adj[u], int32(v))
+	if dup {
 		return false, 0
 	}
-	c.adj[u][int32(v)] = struct{}{}
-	c.adjT[v][int32(u)] = struct{}{}
+	c.adj[u] = slices.Insert(c.adj[u], i, int32(v))
+	j, _ := slices.BinarySearch(c.adjT[v], int32(u))
+	c.adjT[v] = slices.Insert(c.adjT[v], j, int32(u))
 	c.edges++
 	delta = c.support(u, v)
 	c.count += delta
@@ -108,12 +120,14 @@ func (c *Counter) InsertEdge(u, v int) (added bool, delta int64) {
 // (non-negative) number of butterflies it destroyed.
 func (c *Counter) DeleteEdge(u, v int) (removed bool, delta int64) {
 	c.check(u, v)
-	if _, ok := c.adj[u][int32(v)]; !ok {
+	i, ok := slices.BinarySearch(c.adj[u], int32(v))
+	if !ok {
 		return false, 0
 	}
 	delta = c.support(u, v)
-	delete(c.adj[u], int32(v))
-	delete(c.adjT[v], int32(u))
+	c.adj[u] = slices.Delete(c.adj[u], i, i+1)
+	j, _ := slices.BinarySearch(c.adjT[v], int32(u))
+	c.adjT[v] = slices.Delete(c.adjT[v], j, j+1)
 	c.edges--
 	c.count -= delta
 	return true, delta
@@ -125,7 +139,7 @@ func (c *Counter) DeleteEdge(u, v int) (removed bool, delta int64) {
 func (c *Counter) support(u, v int) int64 {
 	var s int64
 	nu := c.adj[u]
-	for w := range c.adjT[v] {
+	for _, w := range c.adjT[v] {
 		if int(w) == u {
 			continue
 		}
@@ -134,29 +148,92 @@ func (c *Counter) support(u, v int) int64 {
 	return s
 }
 
-// intersectSize returns |a ∩ b|, iterating the smaller set.
-func intersectSize(a, b map[int32]struct{}) int64 {
+// gallopRatio is the length ratio from which intersectSize gallops
+// through the longer row instead of merging.
+const gallopRatio = 8
+
+// intersectSize returns |a ∩ b| for sorted, duplicate-free rows: a
+// linear merge for rows of similar length, galloping search through
+// the longer row once it is gallopRatio× the shorter one.
+func intersectSize(a, b []int32) int64 {
 	if len(a) > len(b) {
 		a, b = b, a
 	}
+	if len(b) >= gallopRatio*len(a) {
+		return gallopIntersect(a, b)
+	}
+	return mergeIntersect(a, b)
+}
+
+func mergeIntersect(a, b []int32) int64 {
 	var n int64
-	for k := range a {
-		if _, ok := b[k]; ok {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
 			n++
+			i++
+			j++
 		}
 	}
 	return n
 }
 
-// Snapshot materializes the current graph as an immutable Bipartite.
-func (c *Counter) Snapshot() *graph.Bipartite {
-	b := graph.NewBuilder(len(c.adj), len(c.adjT))
-	for u, nbrs := range c.adj {
-		for v := range nbrs {
-			b.AddEdge(u, int(v))
+// gallopIntersect counts small ∩ large by locating each element of
+// small in the unconsumed suffix of large.
+func gallopIntersect(small, large []int32) int64 {
+	var n int64
+	for _, x := range small {
+		i := gallop(large, x)
+		if i == len(large) {
+			break
 		}
+		if large[i] == x {
+			n++
+			i++
+		}
+		large = large[i:]
 	}
-	return b.Build()
+	return n
+}
+
+// gallop returns the first index i with s[i] >= x (len(s) if none),
+// probing s[1], s[2], s[4], … and binary-searching the bracketed
+// window, so a hit k places in costs O(log k).
+func gallop(s []int32, x int32) int {
+	hi := 1
+	for hi < len(s) && s[hi] < x {
+		hi <<= 1
+	}
+	lo := hi >> 1
+	hi = min(hi+1, len(s))
+	i, _ := slices.BinarySearch(s[lo:hi], x)
+	return lo + i
+}
+
+// Snapshot materializes the current graph as an immutable Bipartite:
+// the rows are concatenated into a fresh CSR (already sorted and
+// duplicate-free), so the snapshot shares no memory with the counter.
+func (c *Counter) Snapshot() *graph.Bipartite {
+	a := &sparse.CSR{
+		R:   len(c.adj),
+		C:   len(c.adjT),
+		Ptr: make([]int64, len(c.adj)+1),
+		Col: make([]int32, 0, c.edges),
+	}
+	for u, row := range c.adj {
+		a.Col = append(a.Col, row...)
+		a.Ptr[u+1] = int64(len(a.Col))
+	}
+	g, err := graph.FromCSR(a)
+	if err != nil {
+		panic(fmt.Sprintf("dynamic: snapshot of sorted rows invalid: %v", err))
+	}
+	return g
 }
 
 // VertexDelta returns how many butterflies vertex u ∈ V1 would lose if
@@ -179,10 +256,10 @@ func (c *Counter) VertexDeltaV2(v int) int64 {
 
 // vertexDelta computes Σ_{w≠u} C(β_uw, 2) with β accumulated over
 // two-hop neighbors in the given orientation.
-func vertexDelta(adj, adjT []map[int32]struct{}, u int) int64 {
+func vertexDelta(adj, adjT [][]int32, u int) int64 {
 	acc := make(map[int32]int64)
-	for v := range adj[u] {
-		for w := range adjT[v] {
+	for _, v := range adj[u] {
+		for _, w := range adjT[v] {
 			if int(w) != u {
 				acc[w]++
 			}

@@ -56,6 +56,42 @@ func TestMutateEndpoint(t *testing.T) {
 	}
 }
 
+// TestNoopBatchKeepsVersion: a batch of only duplicate inserts and
+// absent-edge deletes creates no version, so the result cache stays
+// warm for the next count.
+func TestNoopBatchKeepsVersion(t *testing.T) {
+	s, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	base := urlOf(t, c)
+	registerK44(t, c)
+	if _, err := c.Mutate(ctx, "k44", serveapi.MutateRequest{Deletes: [][2]int{{0, 0}}}); err != nil {
+		t.Fatalf("mutate: %v", err)
+	}
+	if r, _ := rawDo(t, "POST", base+"/v1/graphs/k44/count", `{}`); r.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("first count X-Cache = %q, want miss", r.Header.Get("X-Cache"))
+	}
+	before, _ := s.Registry().Get("k44")
+
+	resp, err := c.Mutate(ctx, "k44", serveapi.MutateRequest{
+		Inserts: [][2]int{{1, 1}, {2, 3}}, // both present
+		Deletes: [][2]int{{0, 0}},         // already gone
+	})
+	if err != nil {
+		t.Fatalf("no-op mutate: %v", err)
+	}
+	want := serveapi.MutateResponse{Graph: "k44", Version: 2, Count: 27, Edges: 15, ElapsedMS: resp.ElapsedMS}
+	if resp != want {
+		t.Fatalf("no-op batch = %+v, want %+v", resp, want)
+	}
+	if after, _ := s.Registry().Get("k44"); after != before {
+		t.Fatal("no-op batch published a new snapshot")
+	}
+	r, body := rawDo(t, "POST", base+"/v1/graphs/k44/count", `{}`)
+	if got := r.Header.Get("X-Cache"); got != "hit" {
+		t.Fatalf("count after no-op batch X-Cache = %q, want hit (%s)", got, body)
+	}
+}
+
 // TestSnapshotIsolation pins the copy-on-write contract at the registry
 // level: a reader holding a Snapshot keeps seeing that version's edge
 // set and count even while mutation batches publish newer versions.

@@ -37,7 +37,7 @@ type Snapshot struct {
 	// Name of the registered graph.
 	Name string
 	// Version starts at 1 when the graph is registered and increments
-	// once per mutation batch.
+	// once per mutation batch that changes the edge set.
 	Version uint64
 	// Graph is the immutable edge set of this version.
 	Graph *butterfly.Graph
@@ -48,13 +48,13 @@ type Snapshot struct {
 
 // MutateResult reports the effect of one mutation batch.
 type MutateResult struct {
-	Version   uint64 // version of the snapshot the batch produced
+	Version   uint64 // version the batch produced (unchanged if it changed nothing)
 	Inserted  int    // edges actually added (duplicates excluded)
 	Deleted   int    // edges actually removed (misses excluded)
 	Created   int64  // butterflies created by the inserts
 	Destroyed int64  // butterflies destroyed by the deletes
-	Count     int64  // butterfly count of the new version
-	Edges     int64  // edge count of the new version
+	Count     int64  // butterfly count of the resulting version
+	Edges     int64  // edge count of the resulting version
 }
 
 // entry pairs a graph's mutable authority with its published snapshot.
@@ -147,9 +147,10 @@ func (r *Registry) Register(name string, g *butterfly.Graph, replace bool) (*Sna
 }
 
 // RegisterObserved is Register with an optional stage hook: when
-// non-nil, stage receives "count.seed" (the initial exact count that
-// seeds the dynamic counter) and, under a persister, "wal.append" (the
-// durable register record). nil is exactly Register.
+// non-nil, stage receives "count.seed" (seeding the dynamic counter:
+// one copy of g's adjacency plus one static count of g) and, under a
+// persister, "wal.append" (the durable register record). nil is
+// exactly Register.
 func (r *Registry) RegisterObserved(name string, g *butterfly.Graph, replace bool, stage func(name string, d time.Duration)) (*Snapshot, error) {
 	if name == "" {
 		return nil, fmt.Errorf("empty graph name")
@@ -223,9 +224,10 @@ func (r *Registry) Adopt(name string, dyn *butterfly.DynamicCounter, version uin
 // AdoptRemote installs a graph shipped from another shard (cluster
 // rebalancing) at its carried version — unlike Adopt it is logged to
 // the persister, because this shard's store has no history for the
-// graph yet. The carried count is cross-checked against a recount of
-// the edge set (the same logical-corruption gate store recovery
-// applies to register records); a mismatch refuses the adoption.
+// graph yet. The carried count is cross-checked against the static
+// recount that seeds the dynamic counter (the same logical-corruption
+// gate store recovery applies to register records); a mismatch
+// refuses the adoption.
 // Replace permits overwriting an existing name, which is how a
 // rebalance converges when a previous attempt half-finished.
 func (r *Registry) AdoptRemote(name string, g *butterfly.Graph, version uint64, count int64, replace bool) (*Snapshot, error) {
@@ -342,7 +344,9 @@ func (r *Registry) Snapshots() []*Snapshot {
 // outside the graph's original dimensions fail the batch up front,
 // before any mutation is applied. Duplicate inserts and deletes of
 // absent edges are tolerated (counted in neither Inserted nor
-// Deleted).
+// Deleted). A batch that changes nothing creates no version: it is
+// not logged, nothing is published, and the result reports the
+// current version and count.
 func (r *Registry) Mutate(name string, inserts, deletes [][2]int) (MutateResult, error) {
 	return r.MutateObserved(name, inserts, deletes, nil)
 }
@@ -414,6 +418,12 @@ func (r *Registry) MutateObserved(name string, inserts, deletes [][2]int, stage 
 	}
 
 	prev := e.snap.Load()
+	if res.Inserted == 0 && res.Deleted == 0 {
+		res.Version = prev.Version
+		res.Count = prev.Count
+		res.Edges = prev.Graph.NumEdges()
+		return res, nil
+	}
 
 	// Append-before-publish: the batch becomes durable (to the extent
 	// the fsync policy promises) before any reader can observe it. If

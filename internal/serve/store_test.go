@@ -63,7 +63,7 @@ func TestDurableRestartServesIdenticalState(t *testing.T) {
 		t.Fatalf("register: %v", err)
 	}
 	mut, err := c1.Mutate(ctx, "k44", serveapi.MutateRequest{
-		Inserts: [][2]int{{0, 0}}, // duplicate: no-op but still a version
+		Inserts: [][2]int{{0, 0}}, // duplicate: a no-op; the deletes make the version
 		Deletes: [][2]int{{3, 3}, {3, 2}},
 	})
 	if err != nil {
@@ -101,6 +101,50 @@ func TestDurableRestartServesIdenticalState(t *testing.T) {
 	if cnt.Butterflies != want.Butterflies || cnt.Version != want.Version {
 		t.Fatalf("recovered count %d @ v%d, want %d @ v%d",
 			cnt.Butterflies, cnt.Version, want.Butterflies, want.Version)
+	}
+}
+
+// TestDurableNoopBatchKeepsVersion: a batch that changes nothing
+// writes no WAL record, and a restart serves the version it left.
+func TestDurableNoopBatchKeepsVersion(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+
+	s1, c1, st1 := newDurableServer(t, dir)
+	registerK44(t, c1)
+	if _, err := c1.Mutate(ctx, "k44", serveapi.MutateRequest{Deletes: [][2]int{{3, 3}}}); err != nil {
+		t.Fatalf("mutate: %v", err)
+	}
+	walBefore := st1.WALSize()
+	noop, err := c1.Mutate(ctx, "k44", serveapi.MutateRequest{
+		Inserts: [][2]int{{0, 0}},
+		Deletes: [][2]int{{3, 3}},
+	})
+	if err != nil {
+		t.Fatalf("no-op mutate: %v", err)
+	}
+	if noop.Version != 2 || noop.Inserted != 0 || noop.Deleted != 0 {
+		t.Fatalf("no-op batch = %+v, want v2 with nothing applied", noop)
+	}
+	if st1.WALSize() != walBefore {
+		t.Fatalf("no-op batch grew the WAL: %d → %d bytes", walBefore, st1.WALSize())
+	}
+	want, err := c1.GraphInfo(ctx, "k44")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.Close()
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, c2, _ := adoptAll(t, dir)
+	got, err := c2.GraphInfo(ctx, "k44")
+	if err != nil {
+		t.Fatalf("graph lost across restart: %v", err)
+	}
+	if got != want || got.Version != 2 {
+		t.Fatalf("state differs across restart:\n got %+v\nwant %+v (v2)", got, want)
 	}
 }
 

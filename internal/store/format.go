@@ -8,7 +8,8 @@
 // holding its exact edge set and butterfly count; every mutation batch
 // between checkpoints is appended to a single write-ahead log before
 // it is published to readers. Recovery loads the newest valid snapshot
-// of each graph, replays the WAL tail through a DynamicCounter — the
+// of each graph (its count checked against a static recount of the
+// decoded edges), replays the WAL tail through a DynamicCounter — the
 // same incremental machinery that applied the batches the first time,
 // so the replayed count is recomputed by the paper's per-edge support
 // update rule, never trusted blindly — and truncates the log at the

@@ -299,9 +299,9 @@ func recoverDir(dir string, logf func(string, ...any)) ([]Recovered, error) {
 
 	// 1. Newest valid snapshot per graph. Validity is layered: file
 	// checksums first, then the rebuilt counter's count must equal the
-	// stored stamp (the count is recomputed edge-by-edge through the
-	// dynamic update rule, so this cross-checks codec and counter
-	// against each other).
+	// stored stamp (seeding the counter recounts the decoded edge set
+	// with the static kernel, so this cross-checks the codec against
+	// an independent count).
 	byName, err := loadSnapshotCandidates(snapDir, logf)
 	if err != nil {
 		return nil, err

@@ -346,7 +346,8 @@ type MutateRequest struct {
 // MutateResponse reports the effect of a mutation batch.
 type MutateResponse struct {
 	Graph string `json:"graph"`
-	// Version of the snapshot produced by this batch.
+	// Version of the snapshot produced by this batch; a batch that
+	// changed nothing produces none and reports the current version.
 	Version uint64 `json:"version"`
 	// Inserted/Deleted count the mutations that actually changed the
 	// edge set (duplicates and misses are excluded).
@@ -355,7 +356,7 @@ type MutateResponse struct {
 	// Created/Destroyed count butterflies added and removed.
 	Created   int64 `json:"created"`
 	Destroyed int64 `json:"destroyed"`
-	// Count and Edges describe the new version.
+	// Count and Edges describe that version.
 	Count     int64      `json:"count"`
 	Edges     int64      `json:"edges"`
 	ElapsedMS int64      `json:"elapsed_ms"`
