@@ -650,21 +650,16 @@ func TestNumInvariantsMatchesCore(t *testing.T) {
 	}
 }
 
-// TestCountWithHubPolicies: every hub policy, sequential and parallel,
-// returns the automatic count; an out-of-range policy is an error.
-func TestCountWithHubPolicies(t *testing.T) {
+// TestCountWithThreads: sequential and parallel family counts return
+// the automatic count.
+func TestCountWithThreads(t *testing.T) {
 	g := randGraph(t, 4, 100, 80, 0.1)
 	want := g.Count()
-	for _, hub := range []HubPolicy{HubAuto, HubNever, HubAlways} {
-		for _, threads := range []int{1, 3} {
-			got, err := g.CountWith(CountOptions{Hub: hub, Threads: threads})
-			if err != nil || got != want {
-				t.Fatalf("hub=%v threads=%d: %d, %v (want %d)", hub, threads, got, err, want)
-			}
+	for _, threads := range []int{1, 3} {
+		got, err := g.CountWith(CountOptions{Threads: threads})
+		if err != nil || got != want {
+			t.Fatalf("threads=%d: %d, %v (want %d)", threads, got, err, want)
 		}
-	}
-	if _, err := g.CountWith(CountOptions{Hub: HubPolicy(42)}); err == nil {
-		t.Fatal("invalid hub policy accepted")
 	}
 }
 

@@ -4,10 +4,9 @@
 // file (-mm), or a named synthetic stand-in of the paper's datasets
 // (-dataset, optionally -scale to shrink it). The algorithm family
 // member, thread count, block size and vertex ordering are selectable;
-// -all runs the whole family and reports each member's time. The
-// hybrid intersection kernel's hub policy is selectable with
-// -hub auto|never|always, and -arena reuses counting workspaces across
-// runs (meaningful with -all, where it makes repeats allocation-free).
+// -all runs the whole family and reports each member's time. -arena
+// reuses counting workspaces across runs (meaningful with -all, where
+// it makes repeats allocation-free).
 //
 // Examples:
 //
@@ -52,7 +51,6 @@ func run(args []string, out io.Writer) error {
 		threads   = fs.Int("threads", 1, "worker count (>1 = parallel algorithm)")
 		block     = fs.Int("block", 0, "block size (>1 = blocked variant)")
 		order     = fs.String("order", "natural", "vertex order: natural|degree-asc|degree-desc")
-		hub       = fs.String("hub", "auto", "hub kernel policy: auto|never|always (family algorithm only)")
 		arena     = fs.Bool("arena", false, "reuse counting workspaces across runs (family algorithm only)")
 		all       = fs.Bool("all", false, "run all 8 invariants and report times")
 		stats     = fs.Bool("stats", false, "print graph statistics")
@@ -103,10 +101,6 @@ func run(args []string, out io.Writer) error {
 		return runProject(out, g, *project, *minShared, *top)
 	}
 
-	hubPolicy, err := parseHub(*hub)
-	if err != nil {
-		return err
-	}
 	var pool *butterfly.Arena
 	if *arena {
 		pool = butterfly.NewArena()
@@ -115,7 +109,7 @@ func run(args []string, out io.Writer) error {
 	if *all {
 		for inv := butterfly.Invariant1; inv <= butterfly.Invariant8; inv++ {
 			start := time.Now()
-			c, err := g.CountWith(butterfly.CountOptions{Invariant: inv, Threads: *threads, BlockSize: *block, Hub: hubPolicy, Arena: pool})
+			c, err := g.CountWith(butterfly.CountOptions{Invariant: inv, Threads: *threads, BlockSize: *block, Arena: pool})
 			if err != nil {
 				return err
 			}
@@ -128,7 +122,6 @@ func run(args []string, out io.Writer) error {
 		Invariant: butterfly.Invariant(*invariant),
 		Threads:   *threads,
 		BlockSize: *block,
-		Hub:       hubPolicy,
 		Arena:     pool,
 	}
 	switch *algorithm {
@@ -189,19 +182,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "verified: all 8 invariants + independent baselines agree (%.3fs)\n", time.Since(start).Seconds())
 	}
 	return nil
-}
-
-func parseHub(s string) (butterfly.HubPolicy, error) {
-	switch s {
-	case "auto":
-		return butterfly.HubAuto, nil
-	case "never":
-		return butterfly.HubNever, nil
-	case "always":
-		return butterfly.HubAlways, nil
-	default:
-		return 0, fmt.Errorf("unknown -hub %q (want auto|never|always)", s)
-	}
 }
 
 func runProject(out io.Writer, g *butterfly.Graph, side string, minShared int64, top int) error {

@@ -179,6 +179,7 @@ func TestRunErrors(t *testing.T) {
 		"badFlag":      {"-nope"},
 		"badDataset":   {"-dataset", "nope"},
 		"removedAgg":   {"-dataset", "github", "-scale", "500", "-agg", "sort"},
+		"removedHub":   {"-dataset", "github", "-scale", "500", "-hub", "always"},
 	}
 	for name, args := range cases {
 		var sb strings.Builder

@@ -123,40 +123,6 @@ func (a Algorithm) String() string {
 	}
 }
 
-// HubPolicy selects how the hybrid intersection kernel treats dense
-// ("hub") exposed vertices during counting. Every policy returns the
-// exact count; the policy only trades the sparse wedge-accumulator
-// path against the bitset path.
-type HubPolicy int
-
-const (
-	// HubAuto (the default) picks per vertex from the kernel's cost
-	// model.
-	HubAuto HubPolicy = iota
-	// HubNever forces the sparse accumulator path everywhere.
-	HubNever
-	// HubAlways forces the bitset path wherever a candidate range
-	// exists.
-	HubAlways
-)
-
-// String names the policy.
-func (p HubPolicy) String() string {
-	switch p {
-	case HubAuto:
-		return "auto"
-	case HubNever:
-		return "never"
-	case HubAlways:
-		return "always"
-	default:
-		return fmt.Sprintf("HubPolicy(%d)", int(p))
-	}
-}
-
-// Valid reports whether p is one of the three policies.
-func (p HubPolicy) Valid() bool { return p >= HubAuto && p <= HubAlways }
-
 // Arena is a reusable pool of counting workspaces. Passing the same
 // Arena to repeated counts (CountOptions.Arena) makes the steady state
 // allocation-free — the win measured in docs/PERFORMANCE.md for
@@ -192,11 +158,6 @@ type CountOptions struct {
 	BlockSize int
 	// Order optionally relabels vertices first.
 	Order Order
-	// Hub selects the hybrid intersection kernel policy for dense
-	// exposed vertices (AlgorithmFamily only). The zero value HubAuto
-	// chooses per vertex from a cost model; HubNever and HubAlways pin
-	// one path. Every policy returns the exact count.
-	Hub HubPolicy
 	// Arena optionally supplies a workspace pool reused across counts;
 	// nil allocates fresh scratch per run (AlgorithmFamily only). See
 	// NewArena.
@@ -255,9 +216,6 @@ func (g *Graph) CountWithContext(ctx context.Context, opts CountOptions) (int64,
 	if opts.BlockSize < 0 {
 		return 0, fmt.Errorf("butterfly: negative block size %d", opts.BlockSize)
 	}
-	if !opts.Hub.Valid() {
-		return 0, fmt.Errorf("butterfly: invalid hub policy %v", opts.Hub)
-	}
 	ord, err := opts.Order.internal()
 	if err != nil {
 		return 0, err
@@ -275,7 +233,6 @@ func (g *Graph) CountWithContext(ctx context.Context, opts CountOptions) (int64,
 			Threads:   threads,
 			BlockSize: opts.BlockSize,
 			Order:     ord,
-			Hub:       core.HubPolicy(opts.Hub),
 			Arena:     opts.Arena.internal(),
 			Stage:     opts.Stage,
 		})

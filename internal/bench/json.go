@@ -254,7 +254,7 @@ func jsonDatasetRows(name string, g *graph.Bipartite, threadsList []int, repeat 
 	}
 	auto := core.AutoInvariant(g)
 	arena := core.NewArena()
-	opts := core.Options{Invariant: auto, Hub: core.HubNever, Arena: arena}
+	opts := core.Options{Invariant: auto, Arena: arena}
 	core.CountWith(g, opts) // warm the arena
 	ns, allocs, count := measureJSON(repeat, func() int64 {
 		return core.CountWith(g, opts)

@@ -39,26 +39,6 @@ func NewFull(n int) *Vector {
 // Len returns the number of bits in the vector.
 func (v *Vector) Len() int { return v.n }
 
-// Reset resizes v to n bits, all cleared, reusing the existing word
-// storage when it is large enough. It is the allocation-free analogue of
-// assigning New(n) and exists for arena-pooled scratch vectors that are
-// recycled across graphs of different sizes.
-func (v *Vector) Reset(n int) {
-	if n < 0 {
-		panic("bitvec: negative length")
-	}
-	w := (n + wordBits - 1) / wordBits
-	if cap(v.words) < w {
-		v.words = make([]uint64, w)
-	} else {
-		v.words = v.words[:w]
-		for i := range v.words {
-			v.words[i] = 0
-		}
-	}
-	v.n = n
-}
-
 func (v *Vector) check(i int) {
 	if i < 0 || i >= v.n {
 		panic(fmt.Sprintf("bitvec: index %d out of range [0,%d)", i, v.n))
@@ -210,16 +190,6 @@ func (v *Vector) Equal(o *Vector) bool {
 		}
 	}
 	return true
-}
-
-// IntersectionCount returns |v ∧ o| without allocating.
-func (v *Vector) IntersectionCount(o *Vector) int {
-	v.mustMatch(o)
-	c := 0
-	for i := range v.words {
-		c += bits.OnesCount64(v.words[i] & o.words[i])
-	}
-	return c
 }
 
 // NextSet returns the index of the first set bit at or after i, or -1 if

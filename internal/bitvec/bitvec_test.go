@@ -147,9 +147,6 @@ func TestBooleanOps(t *testing.T) {
 		}
 	}
 
-	if got := a.IntersectionCount(b); got != and.Count() {
-		t.Fatalf("IntersectionCount = %d, want %d", got, and.Count())
-	}
 }
 
 func TestLengthMismatchPanics(t *testing.T) {
@@ -327,41 +324,4 @@ func BenchmarkAnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		x.And(y)
 	}
-}
-
-func TestReset(t *testing.T) {
-	v := New(130)
-	v.SetAll()
-	v.Reset(130)
-	if v.Len() != 130 || v.Any() {
-		t.Fatalf("Reset(same) left len=%d count=%d", v.Len(), v.Count())
-	}
-	v.SetAll()
-	v.Reset(40) // shrink: must reuse storage and clear
-	if v.Len() != 40 || v.Any() {
-		t.Fatalf("Reset(shrink) left len=%d count=%d", v.Len(), v.Count())
-	}
-	v.Set(39)
-	v.Reset(500) // grow
-	if v.Len() != 500 || v.Any() {
-		t.Fatalf("Reset(grow) left len=%d count=%d", v.Len(), v.Count())
-	}
-	v.Set(499)
-	if v.Count() != 1 {
-		t.Fatal("grown vector unusable")
-	}
-	// Reset within capacity must not allocate.
-	allocs := testing.AllocsPerRun(10, func() { v.Reset(200) })
-	if allocs != 0 {
-		t.Fatalf("Reset within capacity allocated %.1f objects/op", allocs)
-	}
-}
-
-func TestResetNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Reset(-1) did not panic")
-		}
-	}()
-	New(4).Reset(-1)
 }

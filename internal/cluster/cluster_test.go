@@ -354,6 +354,12 @@ func TestUnsupportedOnPartitioned(t *testing.T) {
 	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
 		t.Errorf("register with @@ name: got %v, want 400", err)
 	}
+
+	// A negative scale is an error, not a full-size registration.
+	_, err = c.Register(ctx, serveapi.RegisterRequest{Name: "neg", Dataset: "github", Scale: -1, Partitions: 2})
+	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
+		t.Errorf("partitioned register with scale -1: got %v, want 400", err)
+	}
 }
 
 // TestRebalance moves graphs through join and leave: counts are

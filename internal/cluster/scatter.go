@@ -357,12 +357,10 @@ func (rt *Router) partitionedRegister(w http.ResponseWriter, r *http.Request, re
 	var g *butterfly.Graph
 	var err error
 	switch {
+	case req.Dataset != "" && req.Scale < 0:
+		err = fmt.Errorf("negative scale %d (0 or 1 = full size)", req.Scale)
 	case req.Dataset != "":
-		scale := req.Scale
-		if scale < 1 {
-			scale = 1
-		}
-		g, err = butterfly.GeneratePaperDataset(req.Dataset, scale)
+		g, err = butterfly.GeneratePaperDataset(req.Dataset, max(req.Scale, 1))
 	case len(req.Edges) > 0 || req.M > 0 || req.N > 0:
 		g, err = butterfly.FromEdges(req.M, req.N, req.Edges)
 	default:

@@ -1,20 +1,14 @@
 package core
 
-import (
-	"sync"
-
-	"butterfly/internal/bitvec"
-)
+import "sync"
 
 // workspace bundles the per-worker scratch state of every kernel in this
-// package: a wedge accumulator, its touched list, and a bitset used by
-// the hybrid intersection kernel. The invariant at rest — maintained by
-// every kernel — is that acc is all-zero and touched is empty, so a
-// recycled workspace needs no clearing pass.
+// package: a wedge accumulator and its touched list. The invariant at
+// rest — maintained by every kernel — is that acc is all-zero and
+// touched is empty, so a recycled workspace needs no clearing pass.
 type workspace struct {
 	acc     []int32
 	touched []int32
-	bits    *bitvec.Vector
 }
 
 func newWorkspace(n int) *workspace {
@@ -36,22 +30,11 @@ func (ws *workspace) ensure(n int) {
 	ws.touched = ws.touched[:0]
 }
 
-// bitset returns the workspace's scratch bitset resized (and fully
-// cleared) to n bits, allocating it on first use.
-func (ws *workspace) bitset(n int) *bitvec.Vector {
-	if ws.bits == nil {
-		ws.bits = bitvec.New(n)
-	} else {
-		ws.bits.Reset(n)
-	}
-	return ws.bits
-}
-
-// Arena is a pool of kernel workspaces (accumulator + touched list +
-// bitset scratch) shared across counting runs. Peeling loops and
-// benchmark harnesses perform thousands of counts over same-sized
-// graphs; without an arena every round re-allocates O(|V|) scratch,
-// which dominates allocation profiles (see BenchmarkTipRoundsArena).
+// Arena is a pool of kernel workspaces (accumulator + touched list)
+// shared across counting runs. Peeling loops and benchmark harnesses
+// perform thousands of counts over same-sized graphs; without an arena
+// every round re-allocates O(|V|) scratch, which dominates allocation
+// profiles (see BenchmarkTipRoundsArena).
 //
 // An Arena is safe for concurrent use: parallel workers check
 // workspaces out at start-up and return them when the run ends, so a

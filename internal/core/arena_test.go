@@ -49,24 +49,6 @@ func TestArenaRecyclesAndGrows(t *testing.T) {
 	}
 }
 
-func TestWorkspaceBitsetReuse(t *testing.T) {
-	ws := newWorkspace(4)
-	b1 := ws.bitset(70)
-	b1.Set(3)
-	b1.Set(69)
-	b2 := ws.bitset(70)
-	if b2 != b1 {
-		t.Fatal("bitset not reused")
-	}
-	if b2.Any() {
-		t.Fatal("reused bitset not cleared")
-	}
-	b3 := ws.bitset(10)
-	if b3.Len() != 10 {
-		t.Fatalf("resized bitset len %d", b3.Len())
-	}
-}
-
 // The peeling hot loop — repeated masked per-vertex counts into a
 // caller-owned buffer with a warm arena — must allocate nothing.
 func TestTipRoundsArenaZeroAlloc(t *testing.T) {
@@ -111,7 +93,7 @@ func TestWingRoundsArenaZeroAlloc(t *testing.T) {
 func TestCountWithArenaZeroAlloc(t *testing.T) {
 	g := gen.PowerLawBipartite(600, 500, 3000, 0.7, 0.7, 15)
 	arena := NewArena()
-	opts := Options{Invariant: Inv2, Hub: HubNever, Arena: arena}
+	opts := Options{Invariant: Inv2, Arena: arena}
 	want := CountWith(g, opts)
 
 	allocs := testing.AllocsPerRun(20, func() {

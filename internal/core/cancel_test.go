@@ -32,8 +32,7 @@ func TestCountContextMatchesCountWith(t *testing.T) {
 		{},
 		{Threads: 4},
 		{BlockSize: 8},
-		{Hub: HubAlways},
-		{Hub: HubNever, Arena: NewArena()},
+		{Arena: NewArena()},
 	} {
 		got, err := CountContext(context.Background(), g, opts)
 		if err != nil {

@@ -145,11 +145,6 @@ type Options struct {
 	// ordering is the paper's future-work optimization; the count is
 	// invariant under relabeling).
 	Order graph.Order
-	// Hub selects the hybrid intersection kernel policy: HubAuto (the
-	// zero value) chooses per vertex from a cost model, HubNever forces
-	// the sparse path, HubAlways forces the bitset path. Every policy
-	// returns the exact count.
-	Hub HubPolicy
 	// Arena optionally supplies a workspace pool reused across counts;
 	// nil allocates fresh scratch per run. See NewArena.
 	Arena *Arena
@@ -239,13 +234,11 @@ func CountWith(g *graph.Bipartite, opts Options) int64 {
 	var c int64
 	switch {
 	case threads > 1:
-		c = countParallel(g, inv, threads, opts.Hub, opts.Arena, opts.stop)
+		c = countParallel(g, inv, threads, opts.Arena, opts.stop)
 	case opts.BlockSize > 1:
 		c = countBlocked(g, inv, opts.BlockSize, opts.stop)
-	case opts.Hub == HubNever && opts.Arena == nil && opts.stop == nil:
-		c = countSeq(g, inv)
 	default:
-		c = countSeqHub(g, inv, opts.Hub, opts.Arena, opts.stop)
+		c = countSeq(g, inv, opts.Arena, opts.stop)
 	}
 	if opts.Stage != nil {
 		opts.Stage("core.count", time.Since(t0))

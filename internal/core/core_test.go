@@ -296,7 +296,7 @@ func TestRelayoutCountInvariance(t *testing.T) {
 		t.Fatalf("permutation lengths %d/%d", len(p1), len(p2))
 	}
 	for _, inv := range Invariants() {
-		if a, b := countSeq(g, inv), countSeq(h, inv); a != b {
+		if a, b := countSeq(g, inv, nil, nil), countSeq(h, inv, nil, nil); a != b {
 			t.Fatalf("%v: original %d, relayouted %d", inv, a, b)
 		}
 	}

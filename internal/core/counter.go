@@ -40,7 +40,7 @@ func (c *Counter) Count(g *graph.Bipartite, inv Invariant) int64 {
 	if cap(c.touched) < exposed.R {
 		c.touched = make([]int32, 0, exposed.R)
 	}
-	return countFamilyWith(c.acc, c.touched, exposed, secondary, desc, above)
+	return countFamily(c.acc, c.touched, exposed, secondary, desc, above, nil)
 }
 
 // CountAuto counts with the automatically selected invariant.

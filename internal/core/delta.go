@@ -19,21 +19,22 @@ package core
 //     stays). A survivor w therefore loses exactly
 //     Σ_{u∈B} C(β_uw, 2) butterflies — the pair terms it shared with
 //     the batch — and nothing else.
-//   - Wing: a butterfly {u,w} × {v,p} is destroyed by the batch iff at
-//     least one of its four edges is in the batch and none was dead
-//     before the batch. Each destroyed butterfly decrements the support
-//     of each of its surviving edges by exactly 1. To count every
-//     destroyed butterfly exactly once under parallel execution, the
-//     butterfly is "assigned" to its minimum-id batch edge: the sweep
-//     from batch edge e skips any butterfly that also contains a batch
-//     edge with a smaller flat id. The rule is order-free, so workers
-//     can process batch edges concurrently with atomic decrements.
+//   - Wing (WingStateDeltaBatch, wingstate.go): a butterfly
+//     {u,w} × {v,p} is destroyed by the batch iff at least one of its
+//     four edges is in the batch and none was dead before the batch.
+//     Each destroyed butterfly decrements the support of each of its
+//     surviving edges by exactly 1. To count every destroyed butterfly
+//     exactly once under parallel execution, the butterfly is
+//     "assigned" to its minimum-id batch edge: the sweep from batch
+//     edge e skips any butterfly that also contains a batch edge with a
+//     smaller flat id. The rule is order-free, so workers can process
+//     batch edges concurrently with atomic decrements.
 //
 // Both kernels draw scratch from a core.Arena and append first-touched
 // ids to a caller-owned buffer (deduplicated through a caller-owned
 // dirty-mark array), so steady-state peeling rounds allocate nothing on
 // the sequential path (TestTipDeltaSteadyStateZeroAlloc /
-// TestWingDeltaSteadyStateZeroAlloc).
+// TestWingStateDeltaSteadyStateZeroAlloc).
 
 import (
 	"sync"
@@ -150,7 +151,7 @@ func tipDeltaWedges(u int, exposed, secondary *sparse.CSR, alive []bool, ws *wor
 
 // TransposeEdgeMap returns tmap with tmap[j] equal to the flat edge id
 // in g.Adj() of the edge stored at flat position j of g.AdjT(). Built
-// in O(nnz); the wing-delta kernel uses it to resolve (w, v) edge ids
+// in O(nnz); NewWingPeelState uses it to resolve (w, v) edge ids
 // without per-wedge binary searches.
 func TransposeEdgeMap(g *graph.Bipartite) []int64 {
 	adj, adjT := g.Adj(), g.AdjT()
@@ -167,204 +168,9 @@ func TransposeEdgeMap(g *graph.Bipartite) []int64 {
 	return tmap
 }
 
-// WingDeltaBatch decrements sup (indexed by flat edge id of g.Adj())
-// for every surviving edge that lost butterflies when the batch of
-// edges was peeled. The caller must have, for every batch edge e:
-// alive[e] = false and inBatch[e] = true (inBatch distinguishes
-// "dying this round" from "dead in an earlier round"; the caller clears
-// it after the kernel returns). tmap is TransposeEdgeMap(g). Decrements
-// are deduplicated per destroyed butterfly via the minimum-batch-id
-// assignment rule, so the kernel is exact for batches of any size and
-// parallelizes over batch edges (threads > 1 uses atomic decrements).
-// First-touched surviving edges are appended to *touched once, using
-// dirty for deduplication as in TipDeltaBatch.
-//
-// pol selects the intersection flavor for resolving N(u) ∩ N(w): the
-// merge path walks both sorted rows; the hub path (taken for dense u
-// under HubAuto's cost model, always under HubAlways) materializes u's
-// neighbor→position map in the workspace accumulator so every partner
-// row is resolved by O(deg w) direct lookups — PR 1's dense-row-gets-a-
-// different-kernel policy applied to the delta sweep. All paths produce
-// identical decrements.
-func WingDeltaBatch(g *graph.Bipartite, batch []int64, alive, inBatch []bool, tmap, sup []int64, dirty []int32, touched *[]int64, threads int, pol HubPolicy, a *Arena) {
-	if len(batch) == 0 {
-		return
-	}
-	adj, adjT := g.Adj(), g.AdjT()
-	if threads > len(batch) {
-		threads = len(batch)
-	}
-	if threads <= 1 || len(batch) < minDeltaParallelBatch {
-		ws := a.get(adj.C)
-		for _, e := range batch {
-			wingDeltaEdge(e, adj, adjT, alive, inBatch, tmap, sup, dirty, touched, nil, pol, ws)
-		}
-		a.put(ws)
-		return
-	}
-
-	var (
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-	)
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := a.get(adj.C)
-			defer a.put(ws)
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(batch) {
-					break
-				}
-				wingDeltaEdge(batch[i], adj, adjT, alive, inBatch, tmap, sup, dirty, touched, &mu, pol, ws)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// wingHubDeg is the minimum exposed degree at which the hub
-// (position-map) path pays for its build+clear cost under HubAuto.
-// Below it the per-partner merge's deg(u) term is too small for the
-// map's 2·deg(u) build to amortize across realistic partner counts.
-const wingHubDeg = 16
-
-// wingDeltaEdge enumerates the butterflies assigned to dying edge e and
-// decrements the supports of their surviving edges. mu == nil selects
-// the sequential (non-atomic) decrement path.
-func wingDeltaEdge(e int64, adj, adjT *sparse.CSR, alive, inBatch []bool, tmap, sup []int64, dirty []int32, touched *[]int64, mu *sync.Mutex, pol HubPolicy, ws *workspace) {
-	u := rowOfEdge(adj, e)
-	v := adj.Col[e]
-	ru := adj.Row(u)
-	baseU := adj.Ptr[u]
-	vrow := adjT.Row(int(v))
-	tbase := adjT.Ptr[int(v)]
-
-	// Hub path decision: materializing u's neighbor→position map costs
-	// 2·deg(u) (build + clear) and turns every partner intersection
-	// from a deg(u)+deg(w) merge into deg(w) direct lookups — saving
-	// ~deg(u) per partner, so it pays once u is dense (≥ wingHubDeg)
-	// and there are enough partners (≥ 3) to amortize the build.
-	//
-	// The model deliberately reads only degrees — deg(u) via len(ru),
-	// the partner count via len(vrow) — never vertex ids. Peeling runs
-	// on the graph's public (original) vertex order, but the counting
-	// core may have served the peel's initial supports from the
-	// degree-ordered relayout twin, where hubs occupy the low ids; an
-	// id-based density proxy (e.g. "small u is dense") would be wrong
-	// in one order or the other, while degrees are preserved by any
-	// relabeling. TestWingDeltaRelayoutAgreement pins this down by
-	// peeling a relayouted twin and checking delta against recount.
-	usePos := false
-	switch pol {
-	case HubAlways:
-		usePos = len(ru) > 0
-	case HubAuto:
-		usePos = len(ru) >= wingHubDeg && len(vrow) >= 3
-	}
-	acc := ws.acc
-	if usePos {
-		for k, p := range ru {
-			acc[p] = int32(k) + 1
-		}
-	}
-
-	for wi, w := range vrow {
-		if int(w) == u {
-			continue
-		}
-		// Every butterfly {u,w} × {v,·} contains edge (w,v): if it died
-		// in an earlier round all those butterflies are long destroyed;
-		// if it dies this round with a smaller id, they are assigned to
-		// it, not to e.
-		ewv := tmap[tbase+int64(wi)]
-		if !alive[ewv] && !inBatch[ewv] {
-			continue
-		}
-		if inBatch[ewv] && ewv < e {
-			continue
-		}
-		rw := adj.Row(int(w))
-		baseW := adj.Ptr[w]
-		if usePos {
-			for kw, p := range rw {
-				if p == v {
-					continue
-				}
-				pu := acc[p]
-				if pu == 0 {
-					continue
-				}
-				wingButterfly(e, ewv, baseU+int64(pu)-1, baseW+int64(kw), alive, inBatch, sup, dirty, touched, mu)
-			}
-		} else {
-			x, y := 0, 0
-			for x < len(ru) && y < len(rw) {
-				switch {
-				case ru[x] < rw[y]:
-					x++
-				case ru[x] > rw[y]:
-					y++
-				default:
-					if ru[x] != v {
-						wingButterfly(e, ewv, baseU+int64(x), baseW+int64(y), alive, inBatch, sup, dirty, touched, mu)
-					}
-					x++
-					y++
-				}
-			}
-		}
-	}
-
-	if usePos {
-		for _, p := range ru {
-			acc[p] = 0
-		}
-	}
-}
-
-// wingButterfly applies the assignment rule to one candidate butterfly
-// (dying edge e, companion edges ewv, eup, ewp) and, if the butterfly
-// is destroyed by e, decrements the support of each surviving edge.
-func wingButterfly(e, ewv, eup, ewp int64, alive, inBatch []bool, sup []int64, dirty []int32, touched *[]int64, mu *sync.Mutex) {
-	if !alive[eup] && !inBatch[eup] {
-		return // butterfly destroyed in an earlier round
-	}
-	if !alive[ewp] && !inBatch[ewp] {
-		return
-	}
-	if inBatch[eup] && eup < e {
-		return // assigned to a smaller-id batch edge
-	}
-	if inBatch[ewp] && ewp < e {
-		return
-	}
-	if mu == nil {
-		if alive[ewv] {
-			wingDecSeq(ewv, sup, dirty, touched)
-		}
-		if alive[eup] {
-			wingDecSeq(eup, sup, dirty, touched)
-		}
-		if alive[ewp] {
-			wingDecSeq(ewp, sup, dirty, touched)
-		}
-		return
-	}
-	if alive[ewv] {
-		wingDecAtomic(ewv, sup, dirty, touched, mu)
-	}
-	if alive[eup] {
-		wingDecAtomic(eup, sup, dirty, touched, mu)
-	}
-	if alive[ewp] {
-		wingDecAtomic(ewp, sup, dirty, touched, mu)
-	}
-}
-
+// wingDecSeq and wingDecAtomic decrement the support of surviving edge
+// f and record its first touch, sequentially or under concurrent
+// workers.
 func wingDecSeq(f int64, sup []int64, dirty []int32, touched *[]int64) {
 	sup[f]--
 	if dirty[f] == 0 {
@@ -380,19 +186,4 @@ func wingDecAtomic(f int64, sup []int64, dirty []int32, touched *[]int64, mu *sy
 		*touched = append(*touched, f)
 		mu.Unlock()
 	}
-}
-
-// rowOfEdge finds the exposed row of flat edge id e by binary search on
-// the row pointer.
-func rowOfEdge(a *sparse.CSR, e int64) int {
-	lo, hi := 0, a.R
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if a.Ptr[mid+1] > e {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
 }

@@ -67,65 +67,6 @@ func TestQuickTipDeltaBatchExact(t *testing.T) {
 	}
 }
 
-// WingDeltaBatch must compute exactly the difference between the edge
-// supports of the graph without the earlier-dead edges and the graph
-// additionally without the batch — the alive-masked analogue of the tip
-// test above, checked through explicit subgraph rebuilds.
-func TestQuickWingDeltaBatchExact(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		_, g := randGraphAndDense(rng, 9)
-		nnz := int(g.NumEdges())
-		if nnz == 0 {
-			return true
-		}
-		alive := make([]bool, nnz)   // true = survives the batch
-		inBatch := make([]bool, nnz) // true = peeled by this batch
-		var batch []int64
-		for e := 0; e < nnz; e++ {
-			switch rng.Intn(4) {
-			case 0: // dead from an earlier round
-			case 1:
-				inBatch[e] = true
-				batch = append(batch, int64(e))
-			default:
-				alive[e] = true
-			}
-		}
-		if len(batch) == 0 {
-			return true
-		}
-		// Supports of the pre-batch subgraph, spread onto original ids.
-		sup := make([]int64, nnz)
-		supportInto(sup, g, func(e int) bool { return alive[e] || inBatch[e] })
-		want := make([]int64, nnz)
-		supportInto(want, g, func(e int) bool { return alive[e] })
-
-		tmap := TransposeEdgeMap(g)
-		dirty := make([]int32, nnz)
-		var touched []int64
-		for _, threads := range []int{1, 3} {
-			for _, pol := range []HubPolicy{HubAuto, HubNever, HubAlways} {
-				got := append([]int64(nil), sup...)
-				touched = touched[:0]
-				WingDeltaBatch(g, batch, alive, inBatch, tmap, got, dirty, &touched, threads, pol, nil)
-				for _, f := range touched {
-					dirty[f] = 0
-				}
-				for e := 0; e < nnz; e++ {
-					if alive[e] && got[e] != want[e] {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // supportInto writes the butterfly support of every kept edge (by the
 // keep predicate over original flat ids) into sup at its original id,
 // by rebuilding the kept subgraph and mapping positions back.
@@ -190,48 +131,6 @@ func TestTipDeltaSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// Same claim for the wing-delta kernel, on both intersection paths.
-func TestWingDeltaSteadyStateZeroAlloc(t *testing.T) {
-	g := gen.PowerLawBipartite(500, 400, 3000, 0.7, 0.7, 12)
-	nnz := int(g.NumEdges())
-	alive := make([]bool, nnz)
-	inBatch := make([]bool, nnz)
-	var batch []int64
-	for e := 0; e < nnz; e++ {
-		if e%9 == 0 {
-			inBatch[e] = true
-			batch = append(batch, int64(e))
-		} else {
-			alive[e] = true
-		}
-	}
-	sup := make([]int64, nnz)
-	EdgeSupportParallelInto(sup, g, 1, nil)
-	tmap := TransposeEdgeMap(g)
-	dirty := make([]int32, nnz)
-	touched := make([]int64, 0, nnz)
-	arena := NewArena()
-
-	for _, pol := range []HubPolicy{HubAuto, HubAlways, HubNever} {
-		// Warm the arena workspace and the touched capacity.
-		touched = touched[:0]
-		WingDeltaBatch(g, batch, alive, inBatch, tmap, sup, dirty, &touched, 1, pol, arena)
-		for _, f := range touched {
-			dirty[f] = 0
-		}
-		allocs := testing.AllocsPerRun(20, func() {
-			touched = touched[:0]
-			WingDeltaBatch(g, batch, alive, inBatch, tmap, sup, dirty, &touched, 1, pol, arena)
-			for _, f := range touched {
-				dirty[f] = 0
-			}
-		})
-		if allocs != 0 {
-			t.Fatalf("warm wing-delta round (policy %v) allocated %.1f objects/op, want 0", pol, allocs)
-		}
-	}
-}
-
 // TransposeEdgeMap must invert the CSR/CSC correspondence exactly.
 func TestTransposeEdgeMap(t *testing.T) {
 	g := gen.PowerLawBipartite(60, 50, 400, 0.7, 0.7, 5)
@@ -247,8 +146,8 @@ func TestTransposeEdgeMap(t *testing.T) {
 			if got := adj.Col[e]; int(got) != v {
 				t.Fatalf("tmap[%d]: edge %d has column %d, want %d", base+int64(k), e, got, v)
 			}
-			if row := rowOfEdge(adj, e); row != int(u) {
-				t.Fatalf("tmap[%d]: edge %d has row %d, want %d", base+int64(k), e, row, u)
+			if e < adj.Ptr[u] || e >= adj.Ptr[u+1] {
+				t.Fatalf("tmap[%d]: edge %d is not in row %d", base+int64(k), e, u)
 			}
 		}
 	}

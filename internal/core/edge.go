@@ -94,8 +94,7 @@ func EdgeSupportParallelInto(vals []int64, g *graph.Bipartite, threads int, a *A
 
 	work := edgeWorkPerRow(g)
 	sched := buildSchedule(work, false, threads, schedTuning{}, nil,
-		func(int) int { return 1 }, // rows are atomic: never split
-		nil, nil)
+		func(int) int { return 1 }) // rows are atomic: never split
 	if threads > len(sched.units) {
 		threads = len(sched.units)
 	}

@@ -8,60 +8,39 @@ import (
 	"butterfly/internal/dense"
 	"butterfly/internal/gen"
 	"butterfly/internal/graph"
+	"butterfly/internal/sparse"
 )
 
-var allPolicies = []HubPolicy{HubAuto, HubNever, HubAlways}
-
-func TestHubPolicyString(t *testing.T) {
-	cases := map[HubPolicy]string{
-		HubAuto: "HubAuto", HubNever: "HubNever", HubAlways: "HubAlways",
-		HubPolicy(42): "HubPolicy(?)",
-	}
-	for p, want := range cases {
-		if p.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(p), p.String(), want)
-		}
-	}
-	if HubPolicy(0) != HubAuto {
-		t.Fatal("HubAuto must be the zero value")
-	}
-}
-
-// The headline exactness claim of the hybrid kernel: the bitset path
-// agrees bit-for-bit with the sparse path for every invariant, across
-// thresholds forced to 0 (HubAlways) and ∞ (HubNever), and across
-// Threads ∈ {1, 2, 4, 8}. Exhaustive over all 512 graphs on 3×3.
-func TestHybridKernelExhaustive3x3(t *testing.T) {
+// The headline exactness claim of the sparse kernel: every invariant
+// agrees with the brute-force count, sequentially and across Threads ∈
+// {1, 2, 4, 8}. Exhaustive over all 512 graphs on 3×3.
+func TestKernelExhaustive3x3(t *testing.T) {
 	enumerateGraphs(3, 3, func(d *dense.Matrix, g *graph.Bipartite) {
 		want := bruteCount(d)
 		for _, inv := range Invariants() {
-			for _, pol := range allPolicies {
-				for _, threads := range []int{1, 2, 4, 8} {
-					got := CountWith(g, Options{Invariant: inv, Threads: threads, Hub: pol})
-					if got != want {
-						t.Fatalf("graph %v %v %v threads=%d: %d, want %d",
-							d.Data, inv, pol, threads, got, want)
-					}
+			for _, threads := range []int{1, 2, 4, 8} {
+				got := CountWith(g, Options{Invariant: inv, Threads: threads})
+				if got != want {
+					t.Fatalf("graph %v %v threads=%d: %d, want %d",
+						d.Data, inv, threads, got, want)
 				}
 			}
 		}
 	})
 }
 
-// Property form of the same claim on random graphs large enough to hit
-// the bitset fast paths (pre-materialized hub bitsets need ≥ 64
-// secondary vertices; the exhaustive test above cannot reach them).
-func TestQuickHybridKernelMatchesSpec(t *testing.T) {
+// Property form of the same claim on random graphs larger than the
+// exhaustive test above can reach, with the dense specification as
+// the oracle.
+func TestQuickKernelMatchesSpec(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		d, g := randGraphAndDense(rng, 20)
 		want := dense.SpecCount(d)
 		for _, inv := range Invariants() {
-			for _, pol := range allPolicies {
-				for _, threads := range []int{1, 2, 4, 8} {
-					if CountWith(g, Options{Invariant: inv, Threads: threads, Hub: pol}) != want {
-						return false
-					}
+			for _, threads := range []int{1, 2, 4, 8} {
+				if CountWith(g, Options{Invariant: inv, Threads: threads}) != want {
+					return false
 				}
 			}
 		}
@@ -74,7 +53,7 @@ func TestQuickHybridKernelMatchesSpec(t *testing.T) {
 
 // denseHubGraph builds a bipartite graph with `hubs` V2 vertices
 // adjacent to every V1 vertex plus a sparse random tail — the dense-hub
-// regime where word-wise AND + popcount dominates the sparse kernel.
+// regime, where a few rows carry most of the wedge work.
 func denseHubGraph(n1, n2, hubs, tailDeg int, seed int64) *graph.Bipartite {
 	rng := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder(n1, n2)
@@ -91,40 +70,32 @@ func denseHubGraph(n1, n2, hubs, tailDeg int, seed int64) *graph.Bipartite {
 	return b.Build()
 }
 
-func TestHybridKernelDenseHubAllPolicies(t *testing.T) {
+// Dense hubs go through the sparse kernel and, in parallel, through
+// neighbor-range hub splitting; every invariant and thread count must
+// match the dense specification.
+func TestKernelDenseHub(t *testing.T) {
 	g := denseHubGraph(256, 256, 24, 4, 5)
+	want := dense.SpecCount(sparse.ToDense(g.Adj()))
 	for _, inv := range Invariants() {
-		want := CountWith(g, Options{Invariant: inv, Hub: HubNever})
-		for _, pol := range allPolicies {
-			for _, threads := range []int{1, 2, 4, 8} {
-				got := CountWith(g, Options{Invariant: inv, Threads: threads, Hub: pol})
-				if got != want {
-					t.Fatalf("%v %v threads=%d: %d, want %d", inv, pol, threads, got, want)
-				}
+		for _, threads := range []int{1, 2, 4, 8} {
+			got := CountWith(g, Options{Invariant: inv, Threads: threads})
+			if got != want {
+				t.Fatalf("%v threads=%d: %d, want %d", inv, threads, got, want)
 			}
 		}
 	}
-	// Sanity: the graph must actually trigger the auto bitset path.
+	// Sanity: at default tuning the hubs must actually be split.
 	exposed, secondary := orient(g, Inv2)
-	_, above := Inv2.geometry()
-	ks := newKernShared(exposed, secondary, above, HubAuto, nil)
-	if !ks.anyBits {
-		t.Fatal("dense-hub graph did not trigger the auto bitset path")
-	}
-	var nHubBits int
-	for _, hb := range ks.hubBits {
-		if hb != nil {
-			nHubBits++
-		}
-	}
-	if nHubBits == 0 {
-		t.Fatal("no hub bitsets were materialized")
+	desc, above := Inv2.geometry()
+	s := buildSchedule(workPerExposed(exposed, secondary, above), desc, 4, schedTuning{},
+		restrictedSegWork(exposed, secondary, above), exposed.RowDeg)
+	if len(s.spills) == 0 {
+		t.Fatal("dense-hub graph did not split any hub")
 	}
 }
 
 // Forced hub splitting: shrinking the scheduler budgets makes even
-// small graphs spill, exercising segment export + reduction (sparse
-// hubs) and candidate-range splitting (bitset hubs) under every policy.
+// small graphs spill, exercising segment export + reduction.
 func TestQuickForcedSpillExactness(t *testing.T) {
 	tun := schedTuning{minWork: 1, spillDiv: 2, chunkDiv: 2}
 	f := func(seed int64) bool {
@@ -132,11 +103,9 @@ func TestQuickForcedSpillExactness(t *testing.T) {
 		d, g := randGraphAndDense(rng, 18)
 		want := dense.SpecCount(d)
 		for _, inv := range Invariants() {
-			for _, pol := range allPolicies {
-				for _, threads := range []int{2, 4, 8} {
-					if countParallelTuned(g, inv, threads, pol, nil, tun, nil) != want {
-						return false
-					}
+			for _, threads := range []int{2, 4, 8} {
+				if countParallelTuned(g, inv, threads, nil, tun, nil) != want {
+					return false
 				}
 			}
 		}
@@ -152,11 +121,9 @@ func TestForcedSpillPowerLaw(t *testing.T) {
 	tun := schedTuning{minWork: 1, spillDiv: 4}
 	for _, inv := range Invariants() {
 		want := Count(g, inv)
-		for _, pol := range allPolicies {
-			for _, threads := range []int{2, 4, 8} {
-				if got := countParallelTuned(g, inv, threads, pol, nil, tun, nil); got != want {
-					t.Fatalf("%v %v threads=%d: %d, want %d", inv, pol, threads, got, want)
-				}
+		for _, threads := range []int{2, 4, 8} {
+			if got := countParallelTuned(g, inv, threads, nil, tun, nil); got != want {
+				t.Fatalf("%v threads=%d: %d, want %d", inv, threads, got, want)
 			}
 		}
 	}
@@ -235,25 +202,5 @@ func TestEdgeSupportParallelIntoMatches(t *testing.T) {
 				t.Fatalf("threads=%d edge %d: %d, want %d", threads, e, got.Val[e], want.Val[e])
 			}
 		}
-	}
-}
-
-// BenchmarkBitsetVsSparseKernel demonstrates the hybrid kernel's win on
-// a dense-hub synthetic graph: 64 full-row hubs over 1024 vertices turn
-// the inner loop into word-wise AND + popcount.
-func BenchmarkBitsetVsSparseKernel(b *testing.B) {
-	g := denseHubGraph(1024, 1024, 64, 4, 7)
-	inv := Inv2
-	arena := NewArena()
-	for _, tc := range []struct {
-		name string
-		pol  HubPolicy
-	}{{"sparse", HubNever}, {"auto", HubAuto}, {"bitset", HubAlways}} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sinkBench = CountWith(g, Options{Invariant: inv, Hub: tc.pol, Arena: arena})
-			}
-		})
 	}
 }

@@ -10,10 +10,11 @@ import (
 	"butterfly/internal/graph"
 )
 
-// adversarialGraphs are the shapes the cross-policy matrix runs on:
-// star hubs (maximal skew, zero butterflies), long paths (no wedges
-// close), bicliques (every wedge closes), chained bicliques, empty and
-// singleton sides, plus seeded power-law graphs.
+// adversarialGraphs are the shapes the thread matrix runs on: star
+// hubs (maximal skew, zero butterflies), long paths (no wedges close),
+// bicliques (every wedge closes), chained bicliques, empty and
+// singleton sides, dense full-row hubs over a sparse tail, plus seeded
+// power-law graphs.
 func adversarialGraphs() map[string]*graph.Bipartite {
 	return map[string]*graph.Bipartite{
 		"star":          gen.Star(40),
@@ -28,27 +29,26 @@ func adversarialGraphs() map[string]*graph.Bipartite {
 		"edgeless":      graph.FromEdges(6, 7, nil),
 		"powerlaw":      gen.PowerLawBipartite(90, 70, 700, 0.8, 0.8, 11),
 		"powerlaw-wide": gen.PowerLawBipartite(40, 300, 900, 0.9, 0.5, 7),
+		"dense-hub":     denseHubGraph(256, 256, 24, 4, 5),
 	}
 }
 
 // TestHubThreadMatrix is the differential matrix of the counting core:
-// every hub policy × sequential and parallel execution × a member of
-// each family must produce the identical exact count on every
-// adversarial shape. Run under -race in CI, which also exercises the
+// sequential and parallel execution × a member of each family must
+// produce the identical exact count on every adversarial (hub-heavy or
+// degenerate) shape. Run under -race in CI, which also exercises the
 // parallel kernels' sharing discipline.
 func TestHubThreadMatrix(t *testing.T) {
 	threads := []int{1, 4}
 	for name, g := range adversarialGraphs() {
-		want := countSeq(g, AutoInvariant(g))
+		want := countSeq(g, AutoInvariant(g), nil, nil)
 		for _, inv := range []Invariant{Inv2, Inv5} {
-			ref := countSeq(g, inv)
-			for _, hub := range allPolicies {
-				for _, th := range threads {
-					got := CountWith(g, Options{Invariant: inv, Threads: th, Hub: hub})
-					if got != ref {
-						t.Errorf("%s inv=%v hub=%v threads=%d: got %d, want %d",
-							name, inv, hub, th, got, ref)
-					}
+			ref := countSeq(g, inv, nil, nil)
+			for _, th := range threads {
+				got := CountWith(g, Options{Invariant: inv, Threads: th})
+				if got != ref {
+					t.Errorf("%s inv=%v threads=%d: got %d, want %d",
+						name, inv, th, got, ref)
 				}
 			}
 			if ref != want {
@@ -58,20 +58,18 @@ func TestHubThreadMatrix(t *testing.T) {
 	}
 }
 
-// TestQuickHubPoliciesAgree drives every hub policy, sequentially and
+// TestQuickThreadsMatchSpec drives the counting core, sequentially and
 // in parallel, through random graphs with the dense specification as
 // ground truth (the same oracle the family tests use).
-func TestQuickHubPoliciesAgree(t *testing.T) {
+func TestQuickThreadsMatchSpec(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		d, g := randGraphAndDense(rng, 12)
 		inv := Invariants()[rng.Intn(NumInvariants)]
 		want := dense.SpecCount(d)
-		for _, hub := range allPolicies {
-			for _, th := range []int{1, 3} {
-				if CountWith(g, Options{Invariant: inv, Threads: th, Hub: hub}) != want {
-					return false
-				}
+		for _, th := range []int{1, 3} {
+			if CountWith(g, Options{Invariant: inv, Threads: th}) != want {
+				return false
 			}
 		}
 		return true

@@ -21,36 +21,32 @@ import (
 //     hub-heavy graph with few exposed vertices still gets as many
 //     workers as it has units — the old clamp counted vertices);
 //  4. phase 1: workers claim units from an atomic cursor. Chunks run
-//     the hybrid kernel per vertex; candidate-range segments of
-//     bitset-path hubs are additive and accumulate directly;
-//     neighbor-list segments of sparse hubs export partial wedge
-//     counts;
+//     the sparse kernel per vertex; neighbor-list segments of split
+//     hubs export partial wedge counts;
 //  5. phase 2: split-hub partials are merged and C(β, 2) applied.
 //
 // Every path computes the same integer wedge multiplicities, so the
 // result is bit-identical to the sequential algorithm (asserted by the
-// tests) for every policy, tuning and thread count.
+// tests) for every tuning and thread count.
 // A non-nil stop flag is polled by every worker between schedule
 // units (and by the threads≤1 fallback between exposed vertices); a
 // raised flag makes workers abandon the cursor race, so the whole pool
 // drains within one unit's worth of work. The partial total returned
 // after an abort is unspecified — CountContext discards it.
-func countParallel(g *graph.Bipartite, inv Invariant, threads int, pol HubPolicy, a *Arena, stop *atomic.Bool) int64 {
-	return countParallelTuned(g, inv, threads, pol, a, schedTuning{}, stop)
+func countParallel(g *graph.Bipartite, inv Invariant, threads int, a *Arena, stop *atomic.Bool) int64 {
+	return countParallelTuned(g, inv, threads, a, schedTuning{}, stop)
 }
 
 // countParallelTuned is countParallel with explicit scheduler tuning;
 // tests shrink the budgets to force hub splitting on small graphs.
-func countParallelTuned(g *graph.Bipartite, inv Invariant, threads int, pol HubPolicy, a *Arena, tun schedTuning, stop *atomic.Bool) int64 {
+func countParallelTuned(g *graph.Bipartite, inv Invariant, threads int, a *Arena, tun schedTuning, stop *atomic.Bool) int64 {
 	desc, above := inv.geometry()
 	exposed, secondary := orient(g, inv)
 	nExp := exposed.R
 
 	work := workPerExposed(exposed, secondary, above)
-	ks := newKernShared(exposed, secondary, above, pol, work)
 	sched := buildSchedule(work, desc, threads, tun,
-		restrictedSegWork(exposed, secondary, above),
-		exposed.RowDeg, ks.bitsSplitFunc(), exposed.Ptr)
+		restrictedSegWork(exposed, secondary, above), exposed.RowDeg)
 
 	// Clamp on schedulable work units, not vertex count: a unit is the
 	// smallest indivisible piece of work, so extra workers would only
@@ -59,20 +55,7 @@ func countParallelTuned(g *graph.Bipartite, inv Invariant, threads int, pol HubP
 		threads = len(sched.units)
 	}
 	if threads <= 1 {
-		kn := ks.worker(a)
-		defer kn.release()
-		var total int64
-		for idx := 0; idx < nExp; idx++ {
-			if idx&stopStride == 0 && stopped(stop) {
-				return total
-			}
-			k := idx
-			if desc {
-				k = nExp - 1 - idx
-			}
-			total += kn.contrib(k)
-		}
-		return total
+		return countSeq(g, inv, a, stop)
 	}
 
 	// parts[i][s] holds segment s of spill i, written by exactly one
@@ -92,7 +75,7 @@ func countParallelTuned(g *graph.Bipartite, inv Invariant, threads int, pol HubP
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			kn := ks.worker(a)
+			kn := newKern(exposed, secondary, above, a)
 			defer kn.release()
 			var local int64
 			for {
@@ -110,8 +93,6 @@ func countParallelTuned(g *graph.Bipartite, inv Invariant, threads int, pol HubP
 						}
 						local += kn.contrib(k)
 					}
-				case unitZSeg:
-					local += kn.contribBitsRange(u.hub, u.lo, u.hi)
 				case unitYSeg:
 					parts[u.spill][u.seg] = kn.segPairs(u.hub, u.lo, u.hi)
 				}
@@ -139,7 +120,7 @@ func countParallelTuned(g *graph.Bipartite, inv Invariant, threads int, pol HubP
 			wg2.Add(1)
 			go func() {
 				defer wg2.Done()
-				kn := ks.worker(a)
+				kn := newKern(exposed, secondary, above, a)
 				defer kn.release()
 				var local int64
 				for {

@@ -27,9 +27,8 @@ func WorkPerVertex(g *graph.Bipartite, inv Invariant) []int64 {
 // the per-worker wedge-step totals; max/mean of the result is the
 // load-imbalance factor, 1.0 being perfect.
 //
-// The simulation models the sparse schedule (no bitset-path candidate
-// splitting), so Σ of the returned loads equals Σ WorkPerVertex
-// exactly — the conservation law the tests pin down.
+// Σ of the returned loads equals Σ WorkPerVertex exactly — the
+// conservation law the tests pin down.
 //
 // The function exists because single-CPU CI environments cannot
 // observe wall-clock speedup (see EXPERIMENTS.md, Fig 11): balance of
@@ -43,8 +42,7 @@ func WorkBalance(g *graph.Bipartite, inv Invariant, threads int) []int64 {
 	exposed, secondary := orient(g, inv)
 	work := workPerExposed(exposed, secondary, above)
 	sched := buildSchedule(work, desc, threads, schedTuning{},
-		restrictedSegWork(exposed, secondary, above),
-		exposed.RowDeg, nil, nil)
+		restrictedSegWork(exposed, secondary, above), exposed.RowDeg)
 	return sched.simulate(threads)
 }
 

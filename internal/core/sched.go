@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"butterfly/internal/sparse"
-)
+import "butterfly/internal/sparse"
 
 // This file implements the work-weighted parallel scheduler shared by
 // the counting, per-vertex and per-edge kernels.
@@ -26,11 +22,8 @@ import (
 //     (decreasing) chunk targets, so every unit carries roughly equal
 //     wedge work no matter how skewed the labeling is;
 //  3. splits any single vertex whose work exceeds the spill budget
-//     ("hub splitting"): either by neighbor-list range, with per-worker
-//     partial accumulators merged in a reduction phase, or — when the
-//     hybrid kernel selects the bitset path for that hub — by candidate
-//     range, whose per-candidate contributions are additive and need no
-//     reduction.
+//     ("hub splitting") by neighbor-list range, with per-worker partial
+//     accumulators merged in a reduction phase.
 //
 // Workers still claim units dynamically with an atomic cursor, so the
 // schedule degrades gracefully under OS noise; WorkBalance simulates
@@ -44,20 +37,15 @@ const (
 	// unitYSeg is one neighbor-list segment of a split hub; segments
 	// export partial wedge accumulators that a reduction phase merges.
 	unitYSeg
-	// unitZSeg is one candidate-range segment of a split hub processed
-	// with the bitset kernel; contributions are additive, no reduction.
-	unitZSeg
 )
 
 // schedUnit is one schedulable piece of a traversal.
 type schedUnit struct {
 	kind int
 	// lo, hi bound the unit: a traversal-index range for unitChunk, a
-	// neighbor-list range for unitYSeg, a candidate-id range for
-	// unitZSeg.
+	// neighbor-list range for unitYSeg.
 	lo, hi int
-	// hub is the exposed-side id of the split vertex (unitYSeg and
-	// unitZSeg only).
+	// hub is the exposed-side id of the split vertex (unitYSeg only).
 	hub int
 	// spill indexes schedule.spills and seg the segment slot within it
 	// (unitYSeg only; -1 otherwise).
@@ -200,13 +188,8 @@ func restrictedSegWork(exposed, secondary *sparse.CSR, above bool) func(k, yi in
 // buildSchedule partitions a traversal over len(work) exposed vertices
 // into work-weighted units. desc reverses the traversal order. segWork
 // and deg describe hub neighbor lists for neighbor-range splitting.
-// bitsSplit, when non-nil, reports the candidate range of a hub the
-// bitset kernel will process, enabling reduction-free candidate-range
-// splitting; ptr must then be the exposed CSR's row-pointer array (its
-// degree prefix sums), used to cut candidate ranges by modeled cost.
 func buildSchedule(work []int64, desc bool, threads int, tun schedTuning,
-	segWork func(k, yi int) int64, deg func(k int) int,
-	bitsSplit func(k int) (lo, hi int, ok bool), ptr []int64) *schedule {
+	segWork func(k, yi int) int64, deg func(k int) int) *schedule {
 
 	tun = tun.norm()
 	if threads < 1 {
@@ -243,7 +226,7 @@ func buildSchedule(work []int64, desc bool, threads int, tun schedTuning,
 		w := work[k]
 		if w > spillBudget && deg(k) > 1 {
 			flush(idx)
-			s.addSpill(idx, k, w, spillBudget, segWork, deg, bitsSplit, ptr)
+			s.addSpill(idx, k, w, spillBudget, segWork, deg)
 			remaining -= w
 			continue
 		}
@@ -269,15 +252,7 @@ func buildSchedule(work []int64, desc bool, threads int, tun schedTuning,
 // addSpill splits hub k (work w > budget) into segments. idx is the
 // hub's traversal index, used for the unsplittable fallback.
 func (s *schedule) addSpill(idx, k int, w, budget int64,
-	segWork func(k, yi int) int64, deg func(k int) int,
-	bitsSplit func(k int) (int, int, bool), ptr []int64) {
-
-	if bitsSplit != nil {
-		if lo, hi, ok := bitsSplit(k); ok && hi > lo {
-			s.addZSegs(k, lo, hi, w, budget, ptr)
-			return
-		}
-	}
+	segWork func(k, yi int) int64, deg func(k int) int) {
 
 	d := deg(k)
 	segs := int((w + budget - 1) / budget)
@@ -317,49 +292,6 @@ func (s *schedule) addSpill(idx, k int, w, budget int64,
 		hub: k, spill: spillIdx, seg: seg, work: sw,
 	})
 	s.spills = append(s.spills, spillInfo{k: k, segs: seg + 1})
-}
-
-// addZSegs splits hub k's candidate range [lo, hi) into segments of
-// roughly equal modeled bitset cost (1 + deg(z) per candidate, prefix
-// sums available as z + ptr[z]). Work shares are proportional so the
-// simulator conserves total work exactly.
-func (s *schedule) addZSegs(k, lo, hi int, w, budget int64, ptr []int64) {
-	cost := func(z int) int64 { return int64(z) + ptr[z] }
-	totalCost := cost(hi) - cost(lo)
-	segs := int((w + budget - 1) / budget)
-	if segs > hi-lo {
-		segs = hi - lo
-	}
-	if segs < 2 || totalCost <= 0 {
-		s.units = append(s.units, schedUnit{
-			kind: unitZSeg, lo: lo, hi: hi,
-			hub: k, spill: -1, seg: -1, work: w,
-		})
-		return
-	}
-	per := (totalCost + int64(segs) - 1) / int64(segs)
-	zlo := lo
-	var assigned int64
-	for zlo < hi {
-		targetF := cost(zlo) + per
-		zhi := zlo + sort.Search(hi-zlo, func(i int) bool { return cost(zlo+i+1) >= targetF })
-		zhi++
-		if zhi > hi {
-			zhi = hi
-		}
-		var share int64
-		if zhi == hi {
-			share = w - assigned
-		} else {
-			share = w * (cost(zhi) - cost(zlo)) / totalCost
-		}
-		assigned += share
-		s.units = append(s.units, schedUnit{
-			kind: unitZSeg, lo: zlo, hi: zhi,
-			hub: k, spill: -1, seg: -1, work: share,
-		})
-		zlo = zhi
-	}
 }
 
 // simulate assigns units to the least-loaded of `threads` workers in

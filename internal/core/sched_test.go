@@ -97,8 +97,6 @@ func checkScheduleCovers(t *testing.T, s *schedule, work []int64, desc bool, deg
 				}
 				c[yi] = true
 			}
-		case unitZSeg:
-			t.Fatalf("unexpected zSeg with nil bitsSplit")
 		}
 	}
 	for hub, c := range segCover {
@@ -142,8 +140,7 @@ func TestQuickScheduleCoversAndConserves(t *testing.T) {
 				// minWork=1 forces aggressive spilling even on tiny
 				// graphs, exercising the hub-splitting machinery.
 				s := buildSchedule(work, desc, threads, schedTuning{minWork: 1},
-					restrictedSegWork(exposed, secondary, above),
-					exposed.RowDeg, nil, nil)
+					restrictedSegWork(exposed, secondary, above), exposed.RowDeg)
 				checkScheduleCovers(t, s, work, desc, exposed.RowDeg)
 			}
 		}
@@ -163,7 +160,7 @@ func TestScheduleSplitsHubs(t *testing.T) {
 	_, above := Inv2.geometry()
 	work := workPerExposed(exposed, secondary, above)
 	s := buildSchedule(work, false, 4, schedTuning{minWork: 1, spillDiv: 4},
-		restrictedSegWork(exposed, secondary, above), exposed.RowDeg, nil, nil)
+		restrictedSegWork(exposed, secondary, above), exposed.RowDeg)
 	if len(s.spills) == 0 {
 		t.Fatal("no hub was split")
 	}
@@ -173,45 +170,6 @@ func TestScheduleSplitsHubs(t *testing.T) {
 		}
 	}
 	checkScheduleCovers(t, s, work, false, exposed.RowDeg)
-}
-
-func TestScheduleZSegSplit(t *testing.T) {
-	g := gen.CompleteBipartite(30, 30)
-	exposed, secondary := orient(g, Inv2)
-	_, above := Inv2.geometry()
-	work := workPerExposed(exposed, secondary, above)
-	all := func(k int) (int, int, bool) {
-		if above {
-			return k + 1, exposed.R, k+1 < exposed.R
-		}
-		return 0, k, k > 0
-	}
-	s := buildSchedule(work, false, 4, schedTuning{minWork: 1, spillDiv: 4},
-		restrictedSegWork(exposed, secondary, above), exposed.RowDeg, all, exposed.Ptr)
-	var zsegs int
-	var total int64
-	for _, u := range s.units {
-		total += u.work
-		if u.kind == unitZSeg {
-			zsegs++
-			if u.hi <= u.lo {
-				t.Fatalf("empty zSeg [%d,%d)", u.lo, u.hi)
-			}
-		}
-	}
-	if zsegs == 0 {
-		t.Fatal("no candidate-range segments emitted")
-	}
-	var want int64
-	for _, w := range work {
-		want += w
-	}
-	if total != want {
-		t.Fatalf("zSeg schedule carries %d work, want %d", total, want)
-	}
-	if len(s.spills) != 0 {
-		t.Fatalf("zSeg splits must not require reductions, got %d spills", len(s.spills))
-	}
 }
 
 func TestSimulateLeastLoaded(t *testing.T) {

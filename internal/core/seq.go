@@ -12,46 +12,16 @@ import (
 // column-partitioned family (1–4) exposes vertices of V2, walking the
 // CSC of A (stored as CSR of Aᵀ); the row-partitioned family (5–8)
 // exposes vertices of V1, walking the CSR of A — matching the paper's
-// storage discussion in Section V.
-func countSeq(g *graph.Bipartite, inv Invariant) int64 {
-	desc, above := inv.geometry()
-	if inv.PartitionsV2() {
-		return countFamily(g.AdjT(), g.Adj(), desc, above)
-	}
-	return countFamily(g.Adj(), g.AdjT(), desc, above)
-}
-
-// countSeqHub is the sequential traversal through the hybrid kernel:
-// identical counts to countSeq, but dense exposed vertices may take the
-// bitset path per the policy's cost model, and scratch state comes from
-// the (optional) arena. A non-nil stop flag is polled between exposed
+// storage discussion in Section V. Scratch state comes from the
+// (optional) arena; a non-nil stop flag is polled between exposed
 // vertices — a point where the workspace is at rest, so an aborted run
 // still returns a clean workspace to the arena.
-func countSeqHub(g *graph.Bipartite, inv Invariant, pol HubPolicy, a *Arena, stop *atomic.Bool) int64 {
+func countSeq(g *graph.Bipartite, inv Invariant, a *Arena, stop *atomic.Bool) int64 {
 	desc, above := inv.geometry()
 	exposed, secondary := orient(g, inv)
-	if pol == HubNever {
-		// Pure sparse accumulator path: skip the kernel analysis entirely
-		// so a warm arena makes repeated counts allocation-free.
-		ws := a.get(exposed.R)
-		defer a.put(ws)
-		return countFamilyStop(ws.acc, ws.touched, exposed, secondary, desc, above, stop)
-	}
-	kn := newKernShared(exposed, secondary, above, pol, nil).worker(a)
-	defer kn.release()
-	nExp := exposed.R
-	var total int64
-	for idx := 0; idx < nExp; idx++ {
-		if idx&stopStride == 0 && stopped(stop) {
-			return total
-		}
-		k := idx
-		if desc {
-			k = nExp - 1 - idx
-		}
-		total += kn.contrib(k)
-	}
-	return total
+	ws := a.get(exposed.R)
+	defer a.put(ws)
+	return countFamily(ws.acc, ws.touched, exposed, secondary, desc, above, stop)
 }
 
 // stopStride masks the iteration index for cancellation polls: a
@@ -71,28 +41,19 @@ const stopStride = 0xFF
 //
 // `exposed` holds the adjacency of the partitioned side (rows =
 // exposed-side vertices); `secondary` is its transpose. desc reverses
-// the traversal; above selects partners with larger index.
-func countFamily(exposed, secondary *sparse.CSR, desc, above bool) int64 {
-	nExp := exposed.R
-	return countFamilyWith(make([]int32, nExp), make([]int32, 0, 1024), exposed, secondary, desc, above)
-}
-
-// countFamilyWith is countFamily with caller-supplied buffers
-// (len(acc) ≥ exposed.R, all zero; touched empty). Both come back in
-// that state, so a Counter can reuse them across calls.
-func countFamilyWith(acc, touched []int32, exposed, secondary *sparse.CSR, desc, above bool) int64 {
-	return countFamilyStop(acc, touched, exposed, secondary, desc, above, nil)
-}
-
-// countFamilyStop is countFamilyWith with a cancellation flag polled
-// every stopStride+1 exposed vertices. The poll sits at the iteration
-// boundary, after the previous iteration's flush, so the accumulator is
-// all-zero and touched empty whenever the loop aborts — the buffer
-// at-rest invariant holds for partial runs too.
-func countFamilyStop(acc, touched []int32, exposed, secondary *sparse.CSR, desc, above bool, stop *atomic.Bool) int64 {
+// the traversal; above selects partners with larger index. The caller
+// supplies the buffers (len(acc) ≥ exposed.R, all zero; touched empty)
+// and gets them back in that state, so a Counter or an arena can reuse
+// them across calls.
+//
+// A non-nil stop flag is polled every stopStride+1 exposed vertices.
+// The poll sits at the iteration boundary, after the previous
+// iteration's flush, so the accumulator is all-zero and touched empty
+// whenever the loop aborts — the buffer at-rest invariant holds for
+// partial runs too.
+func countFamily(acc, touched []int32, exposed, secondary *sparse.CSR, desc, above bool, stop *atomic.Bool) int64 {
 	nExp := exposed.R
 	var total int64
-
 	for idx := 0; idx < nExp; idx++ {
 		if idx&stopStride == 0 && stopped(stop) {
 			return total
@@ -101,28 +62,7 @@ func countFamilyStop(acc, touched []int32, exposed, secondary *sparse.CSR, desc,
 		if desc {
 			k = nExp - 1 - idx
 		}
-		k32 := int32(k)
-		for _, y := range exposed.Row(k) {
-			prow := secondary.Row(int(y))
-			if above {
-				for _, z := range prow[searchInt32(prow, k32+1):] {
-					if acc[z] == 0 {
-						touched = append(touched, z)
-					}
-					acc[z]++
-				}
-			} else {
-				for _, z := range prow {
-					if z >= k32 {
-						break
-					}
-					if acc[z] == 0 {
-						touched = append(touched, z)
-					}
-					acc[z]++
-				}
-			}
-		}
+		touched = accumulate(acc, touched, exposed.Row(k), secondary, int32(k), above)
 		total += flush(acc, &touched)
 	}
 	return total

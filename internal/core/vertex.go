@@ -203,7 +203,7 @@ func vertexButterfliesInto(s []int64, g *graph.Bipartite, side Side, active []bo
 	}
 
 	work, segW := vertexWork(exposed, secondary, active)
-	sched := buildSchedule(work, false, threads, schedTuning{}, segW, exposed.RowDeg, nil, nil)
+	sched := buildSchedule(work, false, threads, schedTuning{}, segW, exposed.RowDeg)
 	if threads > len(sched.units) {
 		threads = len(sched.units)
 	}

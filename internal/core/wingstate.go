@@ -3,11 +3,11 @@ package core
 // WingPeelState: the compacted alive-adjacency structure behind the
 // incremental wing-peeling engine's hot path.
 //
-// The stateless WingDeltaBatch sweeps the static CSR rows, so each
-// dying edge pays O(deg u + Σ deg w) over *original* degrees even when
-// almost everything is already peeled — late in a decomposition the
-// rows are graveyards and the sweep is mostly skip-work. This structure
-// removes the graveyards: every exposed row and every secondary
+// A sweep over the static CSR rows would make each dying edge pay
+// O(deg u + Σ deg w) over *original* degrees even when almost
+// everything is already peeled — late in a decomposition the rows are
+// graveyards and the sweep is mostly skip-work. This structure removes
+// the graveyards: every exposed row and every secondary
 // (transpose) row is kept compacted to its still-present edges by
 // O(1) swap-deletion, so a dying edge's sweep costs O(deg⁺ u + Σ deg⁺ w)
 // over the *surviving* degrees. Total engine work then genuinely tracks
@@ -16,9 +16,9 @@ package core
 // peeling hierarchies.
 //
 // Compaction gives up sorted rows, so the sweep always resolves
-// N(u) ∩ N(w) through the workspace position map (the hub path of the
-// stateless kernel — here every row is treated as a hub, because the
-// map lookups are what tolerate unsorted rows).
+// N(u) ∩ N(w) through the workspace position map: u's neighbors are
+// written into the accumulator once, and each partner row is resolved
+// by direct lookups, which tolerate unsorted rows.
 //
 // Concurrency contract: rows are immutable during a round — workers of
 // StateDeltaBatch only read them — and RemoveEdge is called by the
@@ -148,15 +148,15 @@ func (s *WingPeelState) trow(v int32) ([]int32, []int64) {
 	return s.tcol[b : b+l], s.teid[b : b+l]
 }
 
-// WingStateDeltaBatch is WingDeltaBatch on the compacted structure:
-// it decrements sup for every surviving edge that lost butterflies to
-// the batch, using the same minimum-batch-id assignment rule, but its
-// sweeps touch only present edges. The caller must have inBatch[e] =
-// true for every batch edge (present in s, not yet removed) and clears
-// it — and calls s.RemoveEdge — after the kernel returns. alive is the
+// WingStateDeltaBatch decrements sup for every surviving edge that lost
+// butterflies to the batch, using the minimum-batch-id assignment rule
+// (delta.go); its sweeps touch only present edges. The caller must have
+// inBatch[e] = true for every batch edge (present in s, not yet
+// removed) and clears it — and calls s.RemoveEdge — after the kernel
+// returns. alive is the
 // engine's liveness array (false for batch edges already), used only
 // to guard decrements. First-touched edges are appended to *touched
-// once via dirty, as in WingDeltaBatch.
+// once via dirty, as in TipDeltaBatch.
 func WingStateDeltaBatch(s *WingPeelState, batch []int64, alive, inBatch []bool, sup []int64, dirty []int32, touched *[]int64, threads int, a *Arena) {
 	if len(batch) == 0 {
 		return

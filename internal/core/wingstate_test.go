@@ -71,9 +71,8 @@ func TestWingPeelStateRemoveEdge(t *testing.T) {
 	}
 }
 
-// WingStateDeltaBatch must compute exactly the same decrements as the
-// stateless oracle kernel: the difference between the edge supports of
-// the pre-batch subgraph and the post-batch subgraph, for any sequence
+// WingStateDeltaBatch must compute exactly the difference between the
+// edge supports of the pre-batch subgraph and the post-batch subgraph, for any sequence
 // of earlier removals and any batch drawn from the survivors.
 func TestQuickWingStateDeltaBatchExact(t *testing.T) {
 	f := func(seed int64) bool {
@@ -129,7 +128,7 @@ func TestQuickWingStateDeltaBatchExact(t *testing.T) {
 }
 
 // A warm wing-state round allocates nothing on the sequential path —
-// the same per-round guarantee as the stateless kernels, which is what
+// the same per-round guarantee as TipDeltaBatch, which is what
 // lets the delta engine's total work track the butterflies destroyed.
 func TestWingStateDeltaSteadyStateZeroAlloc(t *testing.T) {
 	g := gen.PowerLawBipartite(500, 400, 3000, 0.7, 0.7, 12)

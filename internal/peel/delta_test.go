@@ -287,13 +287,13 @@ func TestTipDeltaFewAllocsWarm(t *testing.T) {
 	}
 }
 
-// TestWingDeltaRelayoutAgreement pins the relayout-awareness of the
-// delta kernels' hub-path cost model (core/delta.go): on the
-// degree-ordered twin that the counting core serves scalar counts from,
-// hubs occupy the *low* vertex ids — the opposite of where a natural-
-// order heuristic would look for them. The decision must read only
-// degrees, so delta peeling has to agree with the recount engine on the
-// relayouted graph exactly as it does on the original.
+// TestWingDeltaRelayoutAgreement pins the relayout-invariance of the
+// wing-delta engine (core/wingstate.go): on the degree-ordered twin
+// that the counting core serves scalar counts from, hubs occupy the
+// *low* vertex ids — the opposite of natural order. Nothing in the
+// engine may depend on where hubs sit, so delta peeling has to agree
+// with the recount engine on the relayouted graph exactly as it does
+// on the original.
 func TestWingDeltaRelayoutAgreement(t *testing.T) {
 	orig := gen.PowerLawBipartite(120, 100, 900, 0.7, 0.7, 13)
 	g, _, _ := orig.DegreeOrdered()

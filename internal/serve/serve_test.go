@@ -206,6 +206,8 @@ func TestBadInputs(t *testing.T) {
 	wantStatus(err, http.StatusBadRequest, "path load disabled")
 	_, err = c.Register(ctx, serveapi.RegisterRequest{Name: "d", Dataset: "no-such-dataset"})
 	wantStatus(err, http.StatusBadRequest, "unknown dataset")
+	_, err = c.Register(ctx, serveapi.RegisterRequest{Name: "d", Dataset: "github", Scale: -1})
+	wantStatus(err, http.StatusBadRequest, "negative scale")
 
 	// Malformed JSON body.
 	s, _ := newTestServer(t, Config{})

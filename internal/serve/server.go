@@ -640,11 +640,10 @@ func (s *Server) loadRequestGraph(req *serveapi.RegisterRequest) (*butterfly.Gra
 	}
 	switch {
 	case req.Dataset != "":
-		scale := req.Scale
-		if scale < 1 {
-			scale = 1
+		if req.Scale < 0 {
+			return nil, badReqf("negative scale %d (0 or 1 = full size)", req.Scale)
 		}
-		g, err := butterfly.GeneratePaperDataset(req.Dataset, scale)
+		g, err := butterfly.GeneratePaperDataset(req.Dataset, max(req.Scale, 1))
 		if err != nil {
 			return nil, badReqf("%v", err)
 		}

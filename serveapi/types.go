@@ -32,7 +32,7 @@ type RegisterRequest struct {
 	Replace bool `json:"replace,omitempty"`
 
 	// Dataset names a synthetic paper dataset (see bfc -list); Scale
-	// shrinks it (0 or 1 = full size).
+	// shrinks it (0 or 1 = full size; negative is rejected).
 	Dataset string `json:"dataset,omitempty"`
 	Scale   int    `json:"scale,omitempty"`
 
