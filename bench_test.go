@@ -377,23 +377,38 @@ func BenchmarkWingDecomposition(b *testing.B) {
 }
 
 // BenchmarkVertexAndEdgeCounts measures the per-vertex and per-edge
-// kernels that peeling is built from.
+// kernels that peeling is built from, plus the shard wedge-partial
+// export — the three non-count aggregation targets of the one wedge
+// traversal — on every Fig 9 stand-in. No perfbench workload runs
+// these kernels; BFLY_BENCH_SCALE=1 gives the paper-scale numbers.
 func BenchmarkVertexAndEdgeCounts(b *testing.B) {
-	g := benchDataset(b, "producers")
-	b.Run("vertex-butterflies", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s, err := g.VertexButterflies(V1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sink = int64(len(s))
-		}
-	})
-	b.Run("edge-supports", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink = int64(len(g.EdgeSupports()))
-		}
-	})
+	for _, name := range PaperDatasets() {
+		b.Run(name, func(b *testing.B) {
+			g := benchDataset(b, name)
+			b.Run("vertex-butterflies", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					s, err := g.VertexButterflies(V1)
+					if err != nil {
+						b.Fatal(err)
+					}
+					sink = int64(len(s))
+				}
+			})
+			b.Run("edge-supports", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sink = int64(len(g.EdgeSupports()))
+				}
+			})
+			b.Run("wedge-partials", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sink = int64(len(g.WedgePartials()))
+				}
+			})
+		})
+	}
 }
 
 // BenchmarkDynamicCounter measures incremental update throughput on a

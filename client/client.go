@@ -5,7 +5,7 @@
 //
 //	c := client.New("http://localhost:8080")
 //	info, err := c.Register(ctx, serveapi.RegisterRequest{Name: "g", Dataset: "occupations", Scale: 10})
-//	count, err := c.Count(ctx, "g", serveapi.CountRequest{Threads: -1})
+//	count, err := c.Count(ctx, "g", serveapi.CountRequest{})
 //
 // The client speaks the versioned /v1 surface: every non-2xx response
 // is the uniform {error:{code,message,...}} envelope, decoded into an

@@ -573,11 +573,7 @@ func doOp(ctx context.Context, cl *client.Client, graph string, info serveapi.Gr
 	}
 	switch op {
 	case opCount:
-		_, err = cl.Count(ctx, graph, serveapi.CountRequest{
-			Invariant:     rng.Intn(9),
-			Threads:       []int{1, -1}[rng.Intn(2)],
-			TimeoutMillis: timeoutMS,
-		})
+		_, err = cl.Count(ctx, graph, serveapi.CountRequest{TimeoutMillis: timeoutMS})
 	case opVertex:
 		_, err = cl.VertexCounts(ctx, graph, serveapi.VertexCountsRequest{
 			Side: []string{"v1", "v2"}[rng.Intn(2)], Top: top, TimeoutMillis: timeoutMS,
@@ -594,7 +590,7 @@ func doOp(ctx context.Context, cl *client.Client, graph string, info serveapi.Gr
 		}
 	case opPeel:
 		_, err = cl.Peel(ctx, graph, serveapi.PeelRequest{
-			Mode: "tip", K: peelK, Side: "v1", Threads: -1, TimeoutMillis: timeoutMS,
+			Mode: "tip", K: peelK, Side: "v1", TimeoutMillis: timeoutMS,
 		})
 	case opMutate:
 		ins := make([][2]int, 2)

@@ -40,7 +40,7 @@
 //	bfserved -addr :8080 -role=router -shards http://10.0.0.1:9001,http://10.0.0.2:9001
 //	bfserved -addr :8080 -data-dir /var/lib/bfserved -fsync always
 //	bfserved -addr :8080 -max-inflight 8 -queue 32 -timeout 10s
-//	curl -s localhost:8080/graphs/occupations/count -d '{"threads": -1}'
+//	curl -s localhost:8080/graphs/occupations/count -d '{}'
 //
 // See docs/SERVING.md for the API reference and tuning guide.
 package main

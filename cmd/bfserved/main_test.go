@@ -52,7 +52,7 @@ func TestRunServeAndShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("graph info: %v", err)
 	}
-	resp, err := c.Count(ctx, "occupations", serveapi.CountRequest{Threads: -1})
+	resp, err := c.Count(ctx, "occupations", serveapi.CountRequest{})
 	if err != nil {
 		t.Fatalf("count: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestRunDurableRestart(t *testing.T) {
 	if got != want {
 		t.Fatalf("restart state differs:\n got %+v\nwant %+v", got, want)
 	}
-	cnt, err := c2.Count(ctx, "occupations", serveapi.CountRequest{Threads: -1})
+	cnt, err := c2.Count(ctx, "occupations", serveapi.CountRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}

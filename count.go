@@ -196,16 +196,16 @@ func (g *Graph) CountWith(opts CountOptions) (int64, error) {
 
 // CountWithContext is CountWith with cooperative cancellation: when
 // ctx is cancelled (deadline, timeout or explicit cancel) the call
-// returns promptly with ctx.Err() and a zero count.
+// returns ctx.Err() and a zero count.
 //
 // For AlgorithmFamily the cancellation flag is polled inside the core
-// counting loops — between exposed vertices sequentially, between
-// schedule units in parallel — so the workers themselves stop within a
-// bounded slice of work and no goroutine outlives the call. For the
-// baseline algorithms (which have no checkpoints in their inner loops)
-// the count runs in a helper goroutine that is abandoned on
-// cancellation: the call still returns promptly, but the goroutine
-// finishes its count in the background and discards the result.
+// counting loops — every few hundred exposed vertices sequentially,
+// between schedule units in parallel, once per block for the blocked
+// variants — so the workers themselves stop within a bounded slice of
+// work and no goroutine outlives the call. The baseline algorithms
+// have no checkpoints: they run to completion on the calling
+// goroutine, and the context is checked only before and after, so
+// use AlgorithmFamily when the call must end promptly.
 func (g *Graph) CountWithContext(ctx context.Context, opts CountOptions) (int64, error) {
 	if g == nil || g.g == nil {
 		return 0, errNilGraph
@@ -240,6 +240,9 @@ func (g *Graph) CountWithContext(ctx context.Context, opts CountOptions) (int64,
 		if opts.Invariant != InvariantAuto {
 			return 0, fmt.Errorf("butterfly: Invariant is only meaningful with AlgorithmFamily, got %v with %v", opts.Invariant, opts.Algorithm)
 		}
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
 		gg := g.g
 		if ord != graph.OrderNatural {
 			if opts.Stage != nil {
@@ -250,41 +253,28 @@ func (g *Graph) CountWithContext(ctx context.Context, opts CountOptions) (int64,
 				gg, _, _ = gg.Relabel(ord)
 			}
 		}
-		run := func() int64 {
-			var t0 time.Time
-			if opts.Stage != nil {
-				t0 = time.Now()
-			}
-			var c int64
-			switch opts.Algorithm {
-			case AlgorithmWedgeHash:
-				c = baseline.CountWedgeHash(gg)
-			case AlgorithmVertexPriority:
-				c = baseline.CountVertexPriorityParallel(gg, threads)
-			case AlgorithmSortAggregate:
-				c = baseline.CountSortAggregate(gg, threads)
-			default:
-				c = core.CountSpGEMMParallel(gg, threads)
-			}
-			if opts.Stage != nil {
-				opts.Stage("core."+opts.Algorithm.String(), time.Since(t0))
-			}
-			return c
+		var t0 time.Time
+		if opts.Stage != nil {
+			t0 = time.Now()
 		}
-		if ctx.Done() == nil {
-			return run(), nil
+		var c int64
+		switch opts.Algorithm {
+		case AlgorithmWedgeHash:
+			c = baseline.CountWedgeHash(gg)
+		case AlgorithmVertexPriority:
+			c = baseline.CountVertexPriorityParallel(gg, threads)
+		case AlgorithmSortAggregate:
+			c = baseline.CountSortAggregate(gg, threads)
+		default:
+			c = core.CountSpGEMMParallel(gg, threads)
+		}
+		if opts.Stage != nil {
+			opts.Stage("core."+opts.Algorithm.String(), time.Since(t0))
 		}
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		done := make(chan int64, 1)
-		go func() { done <- run() }()
-		select {
-		case c := <-done:
-			return c, nil
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		}
+		return c, nil
 	default:
 		return 0, fmt.Errorf("butterfly: invalid algorithm %v", opts.Algorithm)
 	}
@@ -299,11 +289,26 @@ func (g *Graph) CountInvariant(inv Invariant) (int64, error) {
 // number of butterflies it participates in. The vector sums to twice
 // the total count.
 func (g *Graph) VertexButterflies(side Side) ([]int64, error) {
+	return g.VertexButterfliesContext(context.Background(), side)
+}
+
+// VertexButterfliesContext is VertexButterflies with cooperative
+// cancellation: a cancelled ctx stops the sweep within a few hundred
+// exposed vertices and the call returns ctx.Err().
+func (g *Graph) VertexButterfliesContext(ctx context.Context, side Side) ([]int64, error) {
 	s, err := side.internal()
 	if err != nil {
 		return nil, err
 	}
-	return core.VertexButterflies(g.g, s), nil
+	n := g.NumV1()
+	if s == core.SideV2 {
+		n = g.NumV2()
+	}
+	out := make([]int64, n)
+	if err := core.VertexButterfliesMaskedInto(ctx, out, g.g, s, nil, 1, nil); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // EdgeCount pairs an edge with a butterfly count (its support or wing
@@ -317,7 +322,18 @@ type EdgeCount struct {
 // number of butterflies containing it (the matrix S_w of the paper's
 // equation (25)). The supports sum to four times the total count.
 func (g *Graph) EdgeSupports() []EdgeCount {
-	s := core.EdgeSupport(g.g)
+	es, _ := g.EdgeSupportsContext(context.Background())
+	return es
+}
+
+// EdgeSupportsContext is EdgeSupports with cooperative cancellation: a
+// cancelled ctx stops the sweep within a few hundred exposed vertices
+// and the call returns ctx.Err().
+func (g *Graph) EdgeSupportsContext(ctx context.Context) ([]EdgeCount, error) {
+	s, err := core.EdgeSupportContext(ctx, g.g)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]EdgeCount, 0, s.NNZ())
 	for u := 0; u < s.R; u++ {
 		row := s.Row(u)
@@ -326,7 +342,7 @@ func (g *Graph) EdgeSupports() []EdgeCount {
 			out = append(out, EdgeCount{U: u, V: int(v), Count: vals[k]})
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Wedges returns the wedge totals of equation (6) for both
@@ -422,6 +438,14 @@ func (g *Graph) EstimateCount(opts EstimateOptions) (float64, error) {
 // by MaxSamples). SampleSparsify runs one exact count of a sparsified
 // graph and reports no error bars.
 func (g *Graph) EstimateWithCI(opts EstimateOptions) (EstimateResult, error) {
+	return g.EstimateWithCIContext(context.Background(), opts)
+}
+
+// EstimateWithCIContext is EstimateWithCI with cooperative
+// cancellation: the sampling strategies poll ctx between batches of 32
+// draws, and SampleSparsify counts the sparsified graph with
+// core.CountContext; a done context ends the call with ctx.Err().
+func (g *Graph) EstimateWithCIContext(ctx context.Context, opts EstimateOptions) (EstimateResult, error) {
 	if g == nil || g.g == nil {
 		return EstimateResult{}, errNilGraph
 	}
@@ -431,7 +455,7 @@ func (g *Graph) EstimateWithCI(opts EstimateOptions) (EstimateResult, error) {
 		if opts.Strategy == SampleEdges {
 			strat = estimate.StrategyEdges
 		}
-		return estimateResult(estimate.Sample(g.g, estimate.Options{
+		return estimateResult(estimate.SampleContext(ctx, g.g, estimate.Options{
 			Strategy:     strat,
 			Samples:      opts.Samples,
 			TargetRelErr: opts.TargetRelErr,
@@ -442,7 +466,11 @@ func (g *Graph) EstimateWithCI(opts EstimateOptions) (EstimateResult, error) {
 		if opts.P <= 0 || opts.P > 1 {
 			return EstimateResult{}, fmt.Errorf("butterfly: P must be in (0,1], got %g", opts.P)
 		}
-		return EstimateResult{Estimate: baseline.EstimateSparsify(g.g, opts.P, opts.Seed)}, nil
+		est, err := baseline.EstimateSparsifyContext(ctx, g.g, opts.P, opts.Seed)
+		if err != nil {
+			return EstimateResult{}, err
+		}
+		return EstimateResult{Estimate: est}, nil
 	default:
 		return EstimateResult{}, fmt.Errorf("butterfly: invalid estimate strategy %d", int(opts.Strategy))
 	}

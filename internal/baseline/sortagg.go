@@ -1,9 +1,11 @@
 package baseline
 
 import (
+	"context"
 	"sort"
 	"sync"
 
+	"butterfly/internal/core"
 	"butterfly/internal/graph"
 )
 
@@ -95,11 +97,30 @@ func sumRuns(sorted []int64) int64 {
 // 1/p⁴ — a butterfly survives iff all four edges do. Unbiased;
 // variance grows as p shrinks. Deterministic given seed.
 func EstimateSparsify(g *graph.Bipartite, p float64, seed int64) float64 {
+	est, _ := EstimateSparsifyContext(context.Background(), g, p, seed)
+	return est
+}
+
+// EstimateSparsifyContext is EstimateSparsify with cooperative
+// cancellation: the sparsified graph is counted with core.CountContext,
+// and a done context ends the call with ctx.Err().
+func EstimateSparsifyContext(ctx context.Context, g *graph.Bipartite, p float64, seed int64) (float64, error) {
+	c, err := core.CountContext(ctx, Sparsify(g, p, seed), core.Options{})
+	if err != nil {
+		return 0, err
+	}
+	return float64(c) / (p * p * p * p), nil
+}
+
+// Sparsify returns the sparsified graph EstimateSparsify counts: each
+// edge of g kept independently with probability p, deterministically
+// given seed; p = 1 returns g itself.
+func Sparsify(g *graph.Bipartite, p float64, seed int64) *graph.Bipartite {
 	if p <= 0 || p > 1 {
 		panic("baseline: sparsification probability must be in (0,1]")
 	}
 	if p == 1 {
-		return float64(exactAuto(g))
+		return g
 	}
 	rng := newSplitMix(seed)
 	b := graph.NewBuilder(g.NumV1(), g.NumV2())
@@ -110,15 +131,8 @@ func EstimateSparsify(g *graph.Bipartite, p float64, seed int64) float64 {
 			}
 		}
 	}
-	h := b.Build()
-	return float64(exactAuto(h)) / (p * p * p * p)
+	return b.Build()
 }
-
-// exactAuto is a local seam so sparsification reuses whichever exact
-// counter is cheapest without importing core (avoiding an import
-// cycle is not needed here — core is imported in sampling.go — but the
-// seam keeps this file self-contained for testing).
-var exactAuto = func(g *graph.Bipartite) int64 { return CountVertexPriority(g) }
 
 // splitMix is a tiny deterministic PRNG (SplitMix64) so sparsification
 // does not share math/rand global state.

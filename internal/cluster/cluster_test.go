@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -527,5 +528,37 @@ func TestTenantRoundTripThroughRouter(t *testing.T) {
 	resp2.Body.Close()
 	if got := resp2.Header.Get(serveapi.TenantHeader); got != "default" {
 		t.Errorf("unknown tenant echoed %q, want default", got)
+	}
+}
+
+// fillReader yields an endless run of 'a' bytes, so an oversize body
+// can be streamed without holding it in memory.
+type fillReader struct{}
+
+func (fillReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'a'
+	}
+	return len(p), nil
+}
+
+// TestRouterOversizeBody413: a body over the router's 64 MiB bound
+// answers 413 too_large rather than being read truncated (and then
+// rejected as malformed, or forwarded to a shard).
+func TestRouterOversizeBody413(t *testing.T) {
+	shards := spawnShards(t, 1)
+	_, rts := newRouter(t, urlsOf(shards), Config{})
+	body := io.MultiReader(strings.NewReader(`{"name":"`), io.LimitReader(fillReader{}, 64<<20), strings.NewReader(`"}`))
+	resp, err := http.Post(rts.URL+"/v1/graphs", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413", resp.StatusCode)
+	}
+	var env serveapi.ErrorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error.Code != serveapi.CodeTooLarge {
+		t.Fatalf("envelope = %+v (%v), want code %q", env, err, serveapi.CodeTooLarge)
 	}
 }

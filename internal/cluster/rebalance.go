@@ -159,12 +159,12 @@ func (rt *Router) moveGraph(ctx context.Context, name, src, dst string) (serveap
 // the rebalance converges.
 func (rt *Router) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	var req serveapi.RebalanceRequest
-	body, err := readBody(r)
+	body, err := readBody(w, r)
 	if err == nil && len(body) > 0 {
 		err = json.Unmarshal(body, &req)
 	}
 	if err != nil {
-		rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument, err.Error(), 0)
+		rt.writeBodyErr(w, err)
 		return
 	}
 	start := time.Now()

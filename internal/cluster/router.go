@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -394,9 +395,22 @@ func relay(w http.ResponseWriter, sr *shardResp, shard string) {
 }
 
 // readBody drains the client request body for replay against shards.
-func readBody(r *http.Request) ([]byte, error) {
+// A body over 64 MiB fails with *http.MaxBytesError (writeBodyErr
+// answers 413) instead of being forwarded truncated.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	defer r.Body.Close()
-	return io.ReadAll(io.LimitReader(r.Body, 64<<20))
+	return io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+}
+
+// writeBodyErr answers a request whose body could not be read or
+// decoded: 413 when it exceeded the size bound, 400 otherwise.
+func (rt *Router) writeBodyErr(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		rt.writeErr(w, http.StatusRequestEntityTooLarge, serveapi.CodeTooLarge, err.Error(), 0)
+		return
+	}
+	rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument, err.Error(), 0)
 }
 
 // readOrder is the candidate order of a replica read: the successor
@@ -480,9 +494,9 @@ func (rt *Router) handleReadProxy(subpath string) http.HandlerFunc {
 				fmt.Sprintf("%s is not supported on partitioned graphs (only count/estimate reduce across partitions)", strings.TrimPrefix(subpath, "/")), 0)
 			return
 		}
-		body, err := readBody(r)
+		body, err := readBody(w, r)
 		if err != nil {
-			rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument, err.Error(), 0)
+			rt.writeBodyErr(w, err)
 			return
 		}
 		rt.proxyRead(w, r, name, subpath, body)
@@ -634,9 +648,9 @@ func (rt *Router) handleDrop(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r)
+	body, err := readBody(w, r)
 	if err != nil {
-		rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument, err.Error(), 0)
+		rt.writeBodyErr(w, err)
 		return
 	}
 	var req serveapi.RegisterRequest
@@ -683,9 +697,9 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	body, err := readBody(r)
+	body, err := readBody(w, r)
 	if err != nil {
-		rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument, err.Error(), 0)
+		rt.writeBodyErr(w, err)
 		return
 	}
 	if m := rt.metaOf(name); m != nil && m.partitions >= 2 {
@@ -708,9 +722,9 @@ func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleCount(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	body, err := readBody(r)
+	body, err := readBody(w, r)
 	if err != nil {
-		rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument, err.Error(), 0)
+		rt.writeBodyErr(w, err)
 		return
 	}
 	if m := rt.metaOf(name); m != nil && m.partitions >= 2 {
@@ -722,9 +736,9 @@ func (rt *Router) handleCount(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	body, err := readBody(r)
+	body, err := readBody(w, r)
 	if err != nil {
-		rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument, err.Error(), 0)
+		rt.writeBodyErr(w, err)
 		return
 	}
 	if m := rt.metaOf(name); m != nil && m.partitions >= 2 {
@@ -739,9 +753,9 @@ func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 // cannot be replicated by request replay, so the graph replicates (if
 // at all) only after seal, via rebalance.
 func (rt *Router) handleIngestOpen(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r)
+	body, err := readBody(w, r)
 	if err != nil {
-		rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument, err.Error(), 0)
+		rt.writeBodyErr(w, err)
 		return
 	}
 	var req serveapi.IngestRequest
@@ -762,9 +776,9 @@ func (rt *Router) handleIngestOpen(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleIngest(suffix string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
-		body, err := readBody(r)
+		body, err := readBody(w, r)
 		if err != nil {
-			rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument, err.Error(), 0)
+			rt.writeBodyErr(w, err)
 			return
 		}
 		rt.ingestForward(w, r, name, "/v1/ingest/"+url.PathEscape(name)+suffix, body)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"butterfly/internal/gen"
@@ -61,10 +62,10 @@ func TestTipRoundsArenaZeroAlloc(t *testing.T) {
 	s := make([]int64, n)
 	arena := NewArena()
 	// Warm the arena and the touched-list capacity.
-	VertexButterfliesMaskedInto(s, g, SideV1, active, 1, arena)
+	VertexButterfliesMaskedInto(context.Background(), s, g, SideV1, active, 1, arena)
 
 	allocs := testing.AllocsPerRun(20, func() {
-		VertexButterfliesMaskedInto(s, g, SideV1, active, 1, arena)
+		VertexButterfliesMaskedInto(context.Background(), s, g, SideV1, active, 1, arena)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm masked count allocated %.1f objects/op, want 0", allocs)
@@ -76,10 +77,10 @@ func TestWingRoundsArenaZeroAlloc(t *testing.T) {
 	g := gen.PowerLawBipartite(500, 400, 3000, 0.7, 0.7, 12)
 	vals := make([]int64, g.NumEdges())
 	arena := NewArena()
-	EdgeSupportParallelInto(vals, g, 1, arena)
+	EdgeSupportParallelInto(context.Background(), vals, g, 1, arena)
 
 	allocs := testing.AllocsPerRun(20, func() {
-		EdgeSupportParallelInto(vals, g, 1, arena)
+		EdgeSupportParallelInto(context.Background(), vals, g, 1, arena)
 	})
 	// One CSR header per call is unavoidable (the result wrapper); the
 	// point is that the O(V + E) scratch is gone.
@@ -125,11 +126,11 @@ func BenchmarkTipRoundsArena(b *testing.B) {
 	b.Run("arena", func(b *testing.B) {
 		s := make([]int64, n)
 		arena := NewArena()
-		VertexButterfliesMaskedInto(s, g, SideV1, active, 1, arena)
+		VertexButterfliesMaskedInto(context.Background(), s, g, SideV1, active, 1, arena)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			VertexButterfliesMaskedInto(s, g, SideV1, active, 1, arena)
+			VertexButterfliesMaskedInto(context.Background(), s, g, SideV1, active, 1, arena)
 			sinkBench = s[0]
 		}
 	})

@@ -149,10 +149,10 @@ type Options struct {
 	// nil allocates fresh scratch per run. See NewArena.
 	Arena *Arena
 	// stop, when non-nil, is polled at checkpoints by every counting
-	// loop (between exposed vertices sequentially, between schedule
-	// units in parallel). Once it reads true the loops abandon their
-	// traversal and CountWith returns an unspecified partial value —
-	// callers that set it must discard the result. Set via
+	// loop (every stopStride+1 exposed vertices, between schedule units
+	// in parallel, once per block). Once it reads true the loops
+	// abandon their traversal and CountWith returns an unspecified
+	// partial value — callers that set it must discard the result. Set via
 	// CountContext; not exported because a bare partial count is a
 	// footgun without the error return that CountContext pairs it with.
 	stop *atomic.Bool
@@ -236,7 +236,7 @@ func CountWith(g *graph.Bipartite, opts Options) int64 {
 	case threads > 1:
 		c = countParallel(g, inv, threads, opts.Arena, opts.stop)
 	case opts.BlockSize > 1:
-		c = countBlocked(g, inv, opts.BlockSize, opts.stop)
+		c = countBlocked(g, inv, opts.BlockSize, opts.Arena, opts.stop)
 	default:
 		c = countSeq(g, inv, opts.Arena, opts.stop)
 	}
@@ -264,41 +264,23 @@ func shouldRelayout(p graph.DegreeProfile) bool {
 		(p.SkewV1 >= relayoutSkew || p.SkewV2 >= relayoutSkew)
 }
 
-// stopped reports whether the stop flag has been raised. The nil check
-// is inlined at every checkpoint; the atomic load only happens for
-// cancellable runs.
-func stopped(stop *atomic.Bool) bool { return stop != nil && stop.Load() }
-
 // CountContext is CountWith with cooperative cancellation: when ctx is
 // cancelled (deadline, timeout or explicit cancel) the counting loops
-// abandon their traversal at the next checkpoint — between exposed
-// vertices sequentially, between schedule units in parallel — and
-// CountContext returns ctx.Err(). Checkpoints are frequent enough that
-// return is prompt even on hub-dominated graphs (a schedule unit is
-// bounded by the hub spill budget). With a never-cancelled context the
-// result and performance are identical to CountWith: the fast path
-// adds one nil check per checkpoint and no goroutine.
+// abandon their traversal at the next checkpoint — every stopStride+1
+// exposed vertices sequentially, between schedule units in parallel,
+// once per block for the blocked variants — and CountContext returns
+// ctx.Err(). Checkpoints are frequent enough that return is prompt
+// even on hub-dominated graphs (a schedule unit is bounded by the hub
+// spill budget), and no goroutine outlives the call. With a
+// never-cancelled context the result and performance are identical to
+// CountWith: the fast path adds one nil check per checkpoint.
 func CountContext(ctx context.Context, g *graph.Bipartite, opts Options) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	done := ctx.Done()
-	if done == nil {
-		return CountWith(g, opts), nil
-	}
-	var stop atomic.Bool
-	opts.stop = &stop
-	finished := make(chan struct{})
-	go func() {
-		select {
-		case <-done:
-			stop.Store(true)
-		case <-finished:
-		}
-	}()
-	c := CountWith(g, opts)
-	close(finished)
-	if err := ctx.Err(); err != nil {
+	var c int64
+	err := runContext(ctx, func(stop *atomic.Bool) {
+		opts.stop = stop
+		c = CountWith(g, opts)
+	})
+	if err != nil {
 		return 0, err
 	}
 	return c, nil

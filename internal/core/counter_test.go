@@ -38,7 +38,7 @@ func TestCounterReuseLeavesBuffersClean(t *testing.T) {
 	if second := c.CountAuto(g); second != first {
 		t.Fatalf("reuse changed result: %d vs %d", second, first)
 	}
-	for i, v := range c.acc {
+	for i, v := range c.ws.acc {
 		if v != 0 {
 			t.Fatalf("acc[%d] = %d left dirty", i, v)
 		}

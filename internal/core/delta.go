@@ -37,6 +37,7 @@ package core
 // TestWingStateDeltaSteadyStateZeroAlloc).
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 
@@ -58,95 +59,66 @@ const minDeltaParallelBatch = 8
 // deduplication; the caller must clear the marks of the returned ids
 // before the next round. With threads > 1 the batch is processed by
 // worker goroutines using atomic decrements; results are identical to
-// the sequential path (the decrement multiset is the same).
-func TipDeltaBatch(g *graph.Bipartite, side Side, batch []int32, alive []bool, s []int64, dirty []int32, touched *[]int32, threads int, a *Arena) {
+// the sequential path (the decrement multiset is the same). Cancelling
+// ctx stops the batch within stopStride+1 members (one member per
+// worker in parallel) and returns ctx.Err(); s then holds a partial
+// update and the peeling run must be abandoned.
+func TipDeltaBatch(ctx context.Context, g *graph.Bipartite, side Side, batch []int32, alive []bool, s []int64, dirty []int32, touched *[]int32, threads int, a *Arena) error {
 	if len(batch) == 0 {
-		return
+		return nil
 	}
 	exposed, secondary := vertexOrient(g, side)
-	if threads > len(batch) {
-		threads = len(batch)
-	}
-	if threads <= 1 || len(batch) < minDeltaParallelBatch {
-		ws := a.get(exposed.R)
-		for _, u := range batch {
-			partners := tipDeltaWedges(int(u), exposed, secondary, alive, ws)
-			acc := ws.acc
-			for _, w := range partners {
-				c := int64(acc[w])
-				acc[w] = 0
-				if b := c * (c - 1) / 2; b > 0 {
-					s[w] -= b
-					if dirty[w] == 0 {
-						dirty[w] = 1
-						*touched = append(*touched, w)
-					}
-				}
-			}
-			ws.touched = ws.touched[:0]
-		}
-		a.put(ws)
-		return
-	}
-
-	var (
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-	)
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	return runContext(ctx, func(stop *atomic.Bool) {
+		if threads <= 1 || len(batch) < minDeltaParallelBatch {
 			ws := a.get(exposed.R)
-			defer a.put(ws)
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(batch) {
+			for i, u := range batch {
+				if i&stopStride == 0 && stopped(stop) {
 					break
 				}
-				partners := tipDeltaWedges(int(batch[i]), exposed, secondary, alive, ws)
-				acc := ws.acc
-				for _, w := range partners {
-					c := int64(acc[w])
-					acc[w] = 0
-					if b := c * (c - 1) / 2; b > 0 {
-						atomic.AddInt64(&s[w], -b)
-						if atomic.CompareAndSwapInt32(&dirty[w], 0, 1) {
-							mu.Lock()
-							*touched = append(*touched, w)
-							mu.Unlock()
-						}
-					}
-				}
-				ws.touched = ws.touched[:0]
+				tipDelta(exposed, secondary, ws, u, alive, s, dirty, touched, nil)
 			}
-		}()
-	}
-	wg.Wait()
+			a.put(ws)
+			return
+		}
+		var mu sync.Mutex
+		runPool(threads, len(batch), a, exposed.R, stop, func(ws *workspace, i int) {
+			tipDelta(exposed, secondary, ws, batch[i], alive, s, dirty, touched, &mu)
+		})
+	})
 }
 
-// tipDeltaWedges accumulates the wedge multiplicities β_uw of peeled
-// vertex u against every still-alive partner w into ws.acc and returns
-// the touched partner list. The caller consumes and re-zeroes the
-// accumulator (restoring the workspace's at-rest invariant). u itself
-// is never a partner because alive[u] is already false.
-func tipDeltaWedges(u int, exposed, secondary *sparse.CSR, alive []bool, ws *workspace) []int32 {
+// tipDelta gathers the wedge multiplicities β_uw of peeled vertex u
+// against every partner w and subtracts C(β_uw, 2) from each partner
+// still alive — the mask applies at drain time; u itself is never its
+// own partner. mu == nil selects the sequential update path, otherwise
+// decrements are atomic and first touches are appended under mu.
+func tipDelta(exposed, secondary *sparse.CSR, ws *workspace, u int32, alive []bool, s []int64, dirty []int32, touched *[]int32, mu *sync.Mutex) {
+	sw := sweep{exposed: exposed, secondary: secondary, all: true}
+	sw.gather(ws, int(u), exposed.Row(int(u)))
 	acc := ws.acc
-	partners := ws.touched[:0]
-	for _, y := range exposed.Row(u) {
-		for _, w := range secondary.Row(int(y)) {
-			if !alive[w] {
-				continue
+	for _, w := range ws.touched {
+		c := int64(acc[w])
+		acc[w] = 0
+		b := c * (c - 1) / 2
+		if b == 0 || !alive[w] {
+			continue
+		}
+		if mu == nil {
+			s[w] -= b
+			if dirty[w] == 0 {
+				dirty[w] = 1
+				*touched = append(*touched, w)
 			}
-			if acc[w] == 0 {
-				partners = append(partners, w)
+		} else {
+			atomic.AddInt64(&s[w], -b)
+			if atomic.CompareAndSwapInt32(&dirty[w], 0, 1) {
+				mu.Lock()
+				*touched = append(*touched, w)
+				mu.Unlock()
 			}
-			acc[w]++
 		}
 	}
-	ws.touched = partners
-	return partners
+	ws.touched = ws.touched[:0]
 }
 
 // TransposeEdgeMap returns tmap with tmap[j] equal to the flat edge id

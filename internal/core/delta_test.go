@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -49,7 +50,7 @@ func TestQuickTipDeltaBatchExact(t *testing.T) {
 			for _, threads := range []int{1, 3} {
 				got := append([]int64(nil), s...)
 				touched = touched[:0]
-				TipDeltaBatch(g, side, batch, after, got, dirty, &touched, threads, nil)
+				TipDeltaBatch(context.Background(), g, side, batch, after, got, dirty, &touched, threads, nil)
 				for _, w := range touched {
 					dirty[w] = 0
 				}
@@ -86,7 +87,7 @@ func supportInto(sup []int64, g *graph.Bipartite, keep func(int) bool) {
 	}
 	sub := b.Build()
 	vals := make([]int64, sub.NumEdges())
-	EdgeSupportParallelInto(vals, sub, 1, nil)
+	EdgeSupportParallelInto(context.Background(), vals, sub, 1, nil)
 	for i, e := range kept {
 		sup[e] = vals[i]
 	}
@@ -109,19 +110,19 @@ func TestTipDeltaSteadyStateZeroAlloc(t *testing.T) {
 		}
 	}
 	s := make([]int64, n)
-	VertexButterfliesMaskedInto(s, g, SideV1, nil, 1, nil)
+	VertexButterfliesMaskedInto(context.Background(), s, g, SideV1, nil, 1, nil)
 	dirty := make([]int32, n)
 	touched := make([]int32, 0, n)
 	arena := NewArena()
 	// Warm the arena workspace and the touched capacity.
-	TipDeltaBatch(g, SideV1, batch, alive, s, dirty, &touched, 1, arena)
+	TipDeltaBatch(context.Background(), g, SideV1, batch, alive, s, dirty, &touched, 1, arena)
 	for _, w := range touched {
 		dirty[w] = 0
 	}
 
 	allocs := testing.AllocsPerRun(20, func() {
 		touched = touched[:0]
-		TipDeltaBatch(g, SideV1, batch, alive, s, dirty, &touched, 1, arena)
+		TipDeltaBatch(context.Background(), g, SideV1, batch, alive, s, dirty, &touched, 1, arena)
 		for _, w := range touched {
 			dirty[w] = 0
 		}

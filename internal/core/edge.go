@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sync"
+	"context"
 	"sync/atomic"
 
 	"butterfly/internal/graph"
@@ -23,10 +23,22 @@ import (
 // and Σ_{u∈V1} deg(u)² when exposing V2, so EdgeSupport computes on
 // the cheaper side and transposes the result back into A's pattern.
 func EdgeSupport(g *graph.Bipartite) *sparse.CSR {
+	s, _ := EdgeSupportContext(context.Background(), g)
+	return s
+}
+
+// EdgeSupportContext is EdgeSupport with cooperative cancellation: a
+// cancelled ctx stops the sweep at its next checkpoint (every
+// stopStride+1 rows) and the call returns ctx.Err().
+func EdgeSupportContext(ctx context.Context, g *graph.Bipartite) (*sparse.CSR, error) {
 	if edgeSupportOrientationCost(g) > edgeSupportOrientationCost(g.Transposed()) {
-		return sparse.Transpose(edgeSupportRange(g.Transposed(), 0, g.NumV2(), nil))
+		s, err := EdgeSupportParallelInto(ctx, nil, g.Transposed(), 1, nil)
+		if err != nil {
+			return nil, err
+		}
+		return sparse.Transpose(s), nil
 	}
-	return edgeSupportRange(g, 0, g.NumV1(), nil)
+	return EdgeSupportParallelInto(ctx, nil, g, 1, nil)
 }
 
 // edgeSupportOrientationCost estimates the β-accumulation work of an
@@ -46,137 +58,73 @@ func EdgeSupportParallel(g *graph.Bipartite, threads int) *sparse.CSR {
 	if threads <= 1 {
 		return EdgeSupport(g)
 	}
-	return EdgeSupportParallelInto(nil, g, threads, nil)
+	s, _ := EdgeSupportParallelInto(context.Background(), nil, g, threads, nil)
+	return s
 }
 
-// edgeWorkPerRow returns the modeled support work of each exposed row:
-// Σ over incident columns v of deg(v), the row-scan cost shared by the
-// β-accumulation and gather passes.
-func edgeWorkPerRow(g *graph.Bipartite) []int64 {
-	adj, adjT := g.Adj(), g.AdjT()
-	work := make([]int64, adj.R)
-	for u := 0; u < adj.R; u++ {
-		var w int64
-		for _, v := range adj.Row(u) {
-			w += int64(adjT.RowDeg(int(v)))
-		}
-		work[u] = w
-	}
-	return work
-}
-
-// EdgeSupportParallelInto is the allocation-conscious form used by
-// peeling loops: vals (len ≥ NNZ, or nil to allocate) receives the
-// support values and scratch comes from the arena, so repeated rounds
-// reuse every buffer. Rows are scheduled by work units — a hub row caps
-// its chunk — but stay atomic, because the per-edge gather needs the
-// row's complete β accumulator; splitting hub rows is the counting
-// kernel's job (see countParallel), not the support sweep's.
-func EdgeSupportParallelInto(vals []int64, g *graph.Bipartite, threads int, a *Arena) *sparse.CSR {
+// EdgeSupportParallelInto is the allocation-conscious, cancellable
+// form used by peeling loops: vals (len ≥ NNZ, or nil to allocate)
+// receives the support values of A's rows and scratch comes from the
+// arena, so repeated rounds reuse every buffer. Rows are scheduled by
+// work units — a hub row caps its chunk — but stay atomic, because the
+// per-edge gather needs the row's complete β accumulator; splitting
+// hub rows is the counting kernel's job, not the support sweep's.
+// Cancelling ctx stops the sweep at its next checkpoint and returns
+// ctx.Err().
+func EdgeSupportParallelInto(ctx context.Context, vals []int64, g *graph.Bipartite, threads int, a *Arena) (*sparse.CSR, error) {
 	adj := g.Adj()
 	if vals == nil {
 		vals = make([]int64, adj.NNZ())
 	}
 	out := &sparse.CSR{R: adj.R, C: adj.C, Ptr: adj.Ptr, Col: adj.Col, Val: vals[:adj.NNZ()]}
-	n1 := g.NumV1()
-
-	seq := func() *sparse.CSR {
-		ws := a.get(n1)
-		touched := ws.touched
-		supportRows(g, 0, n1, out.Val, ws.acc, &touched)
-		ws.touched = touched
-		a.put(ws)
-		return out
-	}
-	if threads <= 1 {
-		return seq()
-	}
-
-	work := edgeWorkPerRow(g)
-	sched := buildSchedule(work, false, threads, schedTuning{}, nil,
-		func(int) int { return 1 }) // rows are atomic: never split
-	if threads > len(sched.units) {
-		threads = len(sched.units)
-	}
-	if threads <= 1 {
-		return seq()
-	}
-
-	var (
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-	)
-	nUnits := len(sched.units)
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := a.get(n1)
-			defer a.put(ws)
-			touched := ws.touched
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= nUnits {
-					break
-				}
-				u := &sched.units[i]
-				supportRows(g, u.lo, u.hi, out.Val, ws.acc, &touched)
+	err := runContext(ctx, func(stop *atomic.Bool) {
+		sw := edgeSweep(g, out.Val)
+		if threads > 1 {
+			sched := buildSchedule(workFullExposed(g.Adj(), g.AdjT()), false, threads, schedTuning{}, nil,
+				func(int) int { return 1 }) // rows are atomic: never split
+			if len(sched.units) > 1 {
+				sw.par(sched, threads, a, stop)
+				return
 			}
-			ws.touched = touched
-		}()
+		}
+		sw.seq(a, stop)
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	return out
+	return out, nil
 }
 
-// edgeSupportRange computes supports for rows [lo, hi); vals may be nil
-// to allocate the full output.
-func edgeSupportRange(g *graph.Bipartite, lo, hi int, vals []int64) *sparse.CSR {
-	adj := g.Adj()
-	if vals == nil {
-		vals = make([]int64, adj.NNZ())
-	}
-	acc := make([]int32, g.NumV1())
-	touched := make([]int32, 0, 1024)
-	supportRows(g, lo, hi, vals, acc, &touched)
-	return &sparse.CSR{R: adj.R, C: adj.C, Ptr: adj.Ptr, Col: adj.Col, Val: vals}
+// edgeSweep is the support sweep over the rows of A: exposed vertex u
+// gathers every partner, itself included, and edgeFinish fills the
+// supports of u's edges into vals.
+func edgeSweep(g *graph.Bipartite, vals []int64) sweep {
+	return sweep{exposed: g.Adj(), secondary: g.AdjT(), all: true, target: toEdges, out: vals}
 }
 
-// supportRows fills support values for exposed rows [lo, hi) of A.
-func supportRows(g *graph.Bipartite, lo, hi int, vals []int64, acc []int32, touched *[]int32) {
-	adj, adjT := g.Adj(), g.AdjT()
-	for u := lo; u < hi; u++ {
-		u32 := int32(u)
-		urow := adj.Row(u)
-		// β_uw for every partner w sharing a neighbor with u.
-		for _, v := range urow {
-			for _, w := range adjT.Row(int(v)) {
-				if w == u32 {
-					continue
-				}
-				if acc[w] == 0 {
-					*touched = append(*touched, w)
-				}
-				acc[w]++
-			}
+// edgeFinish evaluates equation (25) for row u into sw.out. The
+// all-partners gather leaves β_uw in acc for every w, u's own entry
+// acc[u] = deg u included, so (AAᵀA)_uv = Σ_{w∈N(v)} β_uw and
+//
+//	support(u, v) = Σ_{w∈N(v)} β_uw − deg u − deg v + 1,
+//
+// one branch-free pass over each N(v). It then resets the accumulator.
+func edgeFinish(sw *sweep, ws *workspace, u int) {
+	adj, adjT := sw.exposed, sw.secondary
+	acc, base := ws.acc, adj.Ptr[u]
+	du := int64(acc[u])
+	for k, v := range adj.Row(u) {
+		row := adjT.Row(int(v))
+		var s int64
+		for _, w := range row {
+			s += int64(acc[w])
 		}
-		// Gather per incident edge: support(u,v) = Σ_{w∈N(v),w≠u}(β_uw−1).
-		base := adj.Ptr[u]
-		for k, v := range urow {
-			var s int64
-			for _, w := range adjT.Row(int(v)) {
-				if w == u32 {
-					continue
-				}
-				s += int64(acc[w]) - 1
-			}
-			vals[base+int64(k)] = s
-		}
-		for _, w := range *touched {
-			acc[w] = 0
-		}
-		*touched = (*touched)[:0]
+		sw.out[base+int64(k)] = s - du - int64(len(row)) + 1
 	}
+	for _, w := range ws.touched {
+		acc[w] = 0
+	}
+	ws.touched = ws.touched[:0]
 }
 
 // EdgeSupportSpGEMM computes the support matrix by executing equation

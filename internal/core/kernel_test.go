@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -171,13 +172,13 @@ func TestVertexButterfliesIntoMatchesSequential(t *testing.T) {
 		wantMasked := VertexButterfliesMasked(g, side, active)
 		s := make([]int64, n)
 		for _, threads := range []int{1, 2, 4, 8} {
-			VertexButterfliesMaskedInto(s, g, side, nil, threads, arena)
+			VertexButterfliesMaskedInto(context.Background(), s, g, side, nil, threads, arena)
 			for i := range s {
 				if s[i] != wantFull[i] {
 					t.Fatalf("side %v threads=%d vertex %d: %d, want %d", side, threads, i, s[i], wantFull[i])
 				}
 			}
-			VertexButterfliesMaskedInto(s, g, side, active, threads, arena)
+			VertexButterfliesMaskedInto(context.Background(), s, g, side, active, threads, arena)
 			for i := range s {
 				if s[i] != wantMasked[i] {
 					t.Fatalf("side %v threads=%d masked vertex %d: %d, want %d", side, threads, i, s[i], wantMasked[i])
@@ -193,7 +194,7 @@ func TestEdgeSupportParallelIntoMatches(t *testing.T) {
 	arena := NewArena()
 	vals := make([]int64, g.NumEdges())
 	for _, threads := range []int{1, 2, 4, 8} {
-		got := EdgeSupportParallelInto(vals, g, threads, arena)
+		got, _ := EdgeSupportParallelInto(context.Background(), vals, g, threads, arena)
 		if got.NNZ() != want.NNZ() {
 			t.Fatalf("threads=%d: nnz %d, want %d", threads, got.NNZ(), want.NNZ())
 		}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"slices"
+	"sync/atomic"
 
 	"butterfly/internal/graph"
 )
@@ -9,7 +11,7 @@ import (
 // PairCount is one entry of a V1-centered wedge partial: C wedges
 // (v—u—w) with center u in this graph's V1 and endpoints V < W in V2.
 // It is the cross-node analogue of the hub-split partial-pair
-// accumulator (kernel.go segPairs/reducePairs): C(β, 2) is not
+// accumulator (kernel.go sweep.par): C(β, 2) is not
 // additive across partitions of the center side, so partitions export
 // integer wedge counts and a reduction phase merges them before the
 // butterfly formula is applied.
@@ -26,40 +28,42 @@ type PairCount struct {
 //
 //	butterflies(g) = Σ_{(v,w)} C(Σ_parts β_vw, 2)
 //
-// Cost is O(Σ_u C(deg u, 2)) time and O(wedges) transient memory —
-// the same wedge work as a sequential count, plus the materialized
-// map.
+// It is the count sweep of invariant 2 with a different finish:
+// exposing V2, each vertex v gathers β_vw = |N(v) ∩ N(w)| for its
+// partners w > v, and the touched partners are sorted and emitted
+// instead of folded into Σ C(β, 2). Cost is the same O(wedges) as a
+// sequential count plus the output.
 func WedgePartials(g *graph.Bipartite) []PairCount {
+	ps, _ := WedgePartialsContext(context.Background(), g)
+	return ps
+}
+
+// WedgePartialsContext is WedgePartials with cooperative
+// cancellation: a cancelled ctx stops the sweep at its next checkpoint
+// (every stopStride+1 exposed vertices) and the call returns ctx.Err().
+func WedgePartialsContext(ctx context.Context, g *graph.Bipartite) ([]PairCount, error) {
 	var wedges int64
 	for u := 0; u < g.NumV1(); u++ {
 		d := int64(g.DegreeV1(u))
 		wedges += d * (d - 1) / 2
 	}
-	keys := make([]uint64, 0, wedges)
-	for u := 0; u < g.NumV1(); u++ {
-		row := g.NeighborsOfV1(u)
-		for i, v := range row {
-			for _, w := range row[i+1:] {
-				// CSR rows are sorted, so v < w and the key orders
-				// pairs lexicographically.
-				keys = append(keys, uint64(v)<<32|uint64(uint32(w)))
-			}
-		}
+	sw := sweep{exposed: g.AdjT(), secondary: g.Adj(), above: true, target: toPairs,
+		pairs: make([]PairCount, 0, wedges/2+1)}
+	if err := runContext(ctx, func(stop *atomic.Bool) { sw.seq(nil, stop) }); err != nil {
+		return nil, err
 	}
-	slices.Sort(keys)
-	out := make([]PairCount, 0, len(keys)/2+1)
-	for i := 0; i < len(keys); {
-		j := i + 1
-		for j < len(keys) && keys[j] == keys[i] {
-			j++
-		}
-		out = append(out, PairCount{
-			V: int32(keys[i] >> 32),
-			W: int32(uint32(keys[i])),
-			C: int64(j - i),
-		})
-		i = j
+	return sw.pairs, nil
+}
+
+// emitPairs is the partials' finish: the touched partners w of exposed
+// vertex v, sorted, appended to out as (v, w, β_vw).
+func emitPairs(out []PairCount, ws *workspace, v int) []PairCount {
+	slices.Sort(ws.touched)
+	for _, w := range ws.touched {
+		out = append(out, PairCount{V: int32(v), W: w, C: int64(ws.acc[w])})
+		ws.acc[w] = 0
 	}
+	ws.touched = ws.touched[:0]
 	return out
 }
 

@@ -127,48 +127,18 @@ func workPerExposed(exposed, secondary *sparse.CSR, above bool) []int64 {
 	return work
 }
 
-// workFullExposed is the unrestricted variant (both directions,
-// excluding the vertex itself) used by the per-vertex kernels.
+// workFullExposed is the all-partners variant used by the per-vertex
+// and per-edge sweeps, whose unbounded gather walks every neighbor's
+// whole row: Σ_{y∈N(k)} deg y.
 func workFullExposed(exposed, secondary *sparse.CSR) []int64 {
 	work := make([]int64, exposed.R)
 	for y := 0; y < secondary.R; y++ {
 		row := secondary.Row(y)
-		d := int64(len(row) - 1)
-		if d <= 0 {
-			continue
-		}
 		for _, z := range row {
-			work[z] += d
+			work[z] += int64(len(row))
 		}
 	}
 	return work
-}
-
-// workFullExposedMasked is workFullExposed restricted to active
-// vertices. It also returns the per-secondary-row active membership
-// counts, which the hub splitter reuses as per-neighbor segment work.
-func workFullExposedMasked(exposed, secondary *sparse.CSR, active []bool) ([]int64, []int32) {
-	work := make([]int64, exposed.R)
-	rowAct := make([]int32, secondary.R)
-	for y := 0; y < secondary.R; y++ {
-		row := secondary.Row(y)
-		var a int32
-		for _, z := range row {
-			if active[z] {
-				a++
-			}
-		}
-		rowAct[y] = a
-		if a <= 1 {
-			continue
-		}
-		for _, z := range row {
-			if active[z] {
-				work[z] += int64(a - 1)
-			}
-		}
-	}
-	return work, rowAct
 }
 
 // restrictedSegWork returns a closure computing the restricted wedge

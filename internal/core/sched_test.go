@@ -44,23 +44,31 @@ func TestQuickWorkPerExposedMatchesSearchReference(t *testing.T) {
 	}
 }
 
-func TestWorkFullExposedMatchesMaskedAllActive(t *testing.T) {
+// The per-vertex kernels' work vector is the full wedge work
+// Σ_{y∈N(k)} deg y of every active vertex and zero for inactive ones
+// (they are not exposed), and the segment work sums to it.
+func TestVertexWorkSkipsInactive(t *testing.T) {
 	g := gen.PowerLawBipartite(300, 250, 2000, 0.7, 0.7, 11)
 	exposed, secondary := g.Adj(), g.AdjT()
 	active := make([]bool, exposed.R)
 	for i := range active {
-		active[i] = true
+		active[i] = i%3 != 0
 	}
-	full := workFullExposed(exposed, secondary)
-	masked, rowAct := workFullExposedMasked(exposed, secondary, active)
-	for k := range full {
-		if full[k] != masked[k] {
-			t.Fatalf("vertex %d: full %d, masked(all) %d", k, full[k], masked[k])
+	work, segW := vertexWork(exposed, secondary, active)
+	for k := range work {
+		var want, segs int64
+		for yi, y := range exposed.Row(k) {
+			want += int64(secondary.RowDeg(int(y)))
+			segs += segW(k, yi)
 		}
-	}
-	for y := 0; y < secondary.R; y++ {
-		if int(rowAct[y]) != secondary.RowDeg(y) {
-			t.Fatalf("row %d active count %d, deg %d", y, rowAct[y], secondary.RowDeg(y))
+		if segs != want {
+			t.Fatalf("vertex %d: segment work %d, want %d", k, segs, want)
+		}
+		if !active[k] {
+			want = 0
+		}
+		if work[k] != want {
+			t.Fatalf("vertex %d (active %v): work %d, want %d", k, active[k], work[k], want)
 		}
 	}
 }

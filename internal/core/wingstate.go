@@ -25,6 +25,7 @@ package core
 // engine between rounds, after the batch kernel returned.
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 
@@ -156,44 +157,29 @@ func (s *WingPeelState) trow(v int32) ([]int32, []int64) {
 // returns. alive is the
 // engine's liveness array (false for batch edges already), used only
 // to guard decrements. First-touched edges are appended to *touched
-// once via dirty, as in TipDeltaBatch.
-func WingStateDeltaBatch(s *WingPeelState, batch []int64, alive, inBatch []bool, sup []int64, dirty []int32, touched *[]int64, threads int, a *Arena) {
+// once via dirty, as in TipDeltaBatch, and cancellation behaves as
+// there.
+func WingStateDeltaBatch(ctx context.Context, s *WingPeelState, batch []int64, alive, inBatch []bool, sup []int64, dirty []int32, touched *[]int64, threads int, a *Arena) error {
 	if len(batch) == 0 {
-		return
+		return nil
 	}
-	if threads > len(batch) {
-		threads = len(batch)
-	}
-	if threads <= 1 || len(batch) < minDeltaParallelBatch {
-		ws := a.get(s.nsec)
-		for _, e := range batch {
-			wingStateEdge(s, e, inBatch, alive, sup, dirty, touched, nil, ws)
-		}
-		a.put(ws)
-		return
-	}
-
-	var (
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-	)
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	return runContext(ctx, func(stop *atomic.Bool) {
+		if threads <= 1 || len(batch) < minDeltaParallelBatch {
 			ws := a.get(s.nsec)
-			defer a.put(ws)
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(batch) {
+			for i, e := range batch {
+				if i&stopStride == 0 && stopped(stop) {
 					break
 				}
-				wingStateEdge(s, batch[i], inBatch, alive, sup, dirty, touched, &mu, ws)
+				wingStateEdge(s, e, inBatch, alive, sup, dirty, touched, nil, ws)
 			}
-		}()
-	}
-	wg.Wait()
+			a.put(ws)
+			return
+		}
+		var mu sync.Mutex
+		runPool(threads, len(batch), a, s.nsec, stop, func(ws *workspace, i int) {
+			wingStateEdge(s, batch[i], inBatch, alive, sup, dirty, touched, &mu, ws)
+		})
+	})
 }
 
 // wingStateEdge enumerates the butterflies assigned to dying edge e

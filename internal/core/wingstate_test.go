@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -110,7 +111,7 @@ func TestQuickWingStateDeltaBatchExact(t *testing.T) {
 		for _, threads := range []int{1, 3} {
 			got := append([]int64(nil), sup...)
 			touched = touched[:0]
-			WingStateDeltaBatch(s, batch, alive, inBatch, got, dirty, &touched, threads, nil)
+			WingStateDeltaBatch(context.Background(), s, batch, alive, inBatch, got, dirty, &touched, threads, nil)
 			for _, f := range touched {
 				dirty[f] = 0
 			}
@@ -146,19 +147,19 @@ func TestWingStateDeltaSteadyStateZeroAlloc(t *testing.T) {
 		}
 	}
 	sup := make([]int64, nnz)
-	EdgeSupportParallelInto(sup, g, 1, nil)
+	EdgeSupportParallelInto(context.Background(), sup, g, 1, nil)
 	dirty := make([]int32, nnz)
 	touched := make([]int64, 0, nnz)
 	arena := NewArena()
 
 	// Warm the arena workspace and the touched capacity.
-	WingStateDeltaBatch(s, batch, alive, inBatch, sup, dirty, &touched, 1, arena)
+	WingStateDeltaBatch(context.Background(), s, batch, alive, inBatch, sup, dirty, &touched, 1, arena)
 	for _, f := range touched {
 		dirty[f] = 0
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		touched = touched[:0]
-		WingStateDeltaBatch(s, batch, alive, inBatch, sup, dirty, &touched, 1, arena)
+		WingStateDeltaBatch(context.Background(), s, batch, alive, inBatch, sup, dirty, &touched, 1, arena)
 		for _, f := range touched {
 			dirty[f] = 0
 		}

@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -80,6 +81,13 @@ type Result struct {
 // the per-sample kernel is the shared wedge accumulator also used by
 // the internal/baseline wrappers.
 func Sample(g *graph.Bipartite, opts Options) (Result, error) {
+	return SampleContext(context.Background(), g, opts)
+}
+
+// SampleContext is Sample with cooperative cancellation: ctx is polled
+// between batches of draws (every 32 samples), and a done context ends
+// the call with ctx.Err().
+func SampleContext(ctx context.Context, g *graph.Bipartite, opts Options) (Result, error) {
 	if opts.Strategy != StrategyVertices && opts.Strategy != StrategyEdges {
 		return Result{}, fmt.Errorf("estimate: invalid strategy %v", opts.Strategy)
 	}
@@ -140,6 +148,9 @@ func Sample(g *graph.Bipartite, opts Options) (Result, error) {
 	}
 
 	for k < maxS {
+		if err := ctx.Err(); err != nil {
+			return Result{}, err
+		}
 		batch := adaptiveBatch
 		if k+batch > maxS {
 			batch = maxS - k

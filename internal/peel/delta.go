@@ -20,6 +20,8 @@ package peel
 // delta_test.go).
 
 import (
+	"context"
+
 	"butterfly/internal/core"
 	"butterfly/internal/graph"
 )
@@ -51,7 +53,7 @@ func tipDecompositionDelta(g *graph.Bipartite, side core.Side, threads int, stag
 	arena := core.NewArena()
 	s := make([]int64, n)
 	t0 := stageNow(stage)
-	core.VertexButterfliesMaskedInto(s, g, side, nil, threads, arena)
+	core.VertexButterfliesMaskedInto(context.Background(), s, g, side, nil, threads, arena)
 	emitStage(stage, "peel.seed", t0)
 
 	alive := make([]bool, n)
@@ -85,7 +87,7 @@ func tipDecompositionDelta(g *graph.Bipartite, side core.Side, threads int, stag
 			batch32 = append(batch32, int32(id))
 		}
 		touched = touched[:0]
-		core.TipDeltaBatch(g, side, batch32, alive, s, dirty, &touched, threads, arena)
+		core.TipDeltaBatch(context.Background(), g, side, batch32, alive, s, dirty, &touched, threads, arena)
 		for _, w := range touched {
 			dirty[w] = 0
 			if s[w] < 0 {
@@ -104,11 +106,14 @@ func tipDecompositionDelta(g *graph.Bipartite, side core.Side, threads int, stag
 // until no survivor drops below the threshold. Returns the subgraph
 // (identical to KTipSubgraph) and the number of cascade rounds.
 func KTipDelta(g *graph.Bipartite, k int64, side core.Side, threads int) (*graph.Bipartite, int) {
-	return kTipDelta(g, k, side, threads, nil)
+	sub, rounds, _ := kTipDelta(context.Background(), g, k, side, threads, nil)
+	return sub, rounds
 }
 
-// kTipDelta is KTipDelta with an optional stage hook.
-func kTipDelta(g *graph.Bipartite, k int64, side core.Side, threads int, stage stageFunc) (*graph.Bipartite, int) {
+// kTipDelta is KTipDelta with an optional stage hook and cooperative
+// cancellation: ctx reaches the seed sweep and every cascade round's
+// delta kernel.
+func kTipDelta(ctx context.Context, g *graph.Bipartite, k int64, side core.Side, threads int, stage stageFunc) (*graph.Bipartite, int, error) {
 	n := g.NumV1()
 	if side == core.SideV2 {
 		n = g.NumV2()
@@ -118,12 +123,14 @@ func kTipDelta(g *graph.Bipartite, k int64, side core.Side, threads int, stage s
 		alive[i] = true
 	}
 	if n == 0 || k <= 0 {
-		return maskSide(g, side, alive), 0
+		return maskSide(g, side, alive), 0, nil
 	}
 	arena := core.NewArena()
 	s := make([]int64, n)
 	t0 := stageNow(stage)
-	core.VertexButterfliesMaskedInto(s, g, side, nil, threads, arena)
+	if err := core.VertexButterfliesMaskedInto(ctx, s, g, side, nil, threads, arena); err != nil {
+		return nil, 0, err
+	}
 	emitStage(stage, "peel.seed", t0)
 
 	dirty := make([]int32, n)
@@ -143,7 +150,9 @@ func kTipDelta(g *graph.Bipartite, k int64, side core.Side, threads int, stage s
 		rt := stageNow(stage)
 		rounds++
 		touched = touched[:0]
-		core.TipDeltaBatch(g, side, cur, alive, s, dirty, &touched, threads, arena)
+		if err := core.TipDeltaBatch(ctx, g, side, cur, alive, s, dirty, &touched, threads, arena); err != nil {
+			return nil, 0, err
+		}
 		next = next[:0]
 		for _, w := range touched {
 			dirty[w] = 0
@@ -155,7 +164,7 @@ func kTipDelta(g *graph.Bipartite, k int64, side core.Side, threads int, stage s
 		cur, next = next, cur
 		emitRound(stage, rounds-1, rt)
 	}
-	return maskSide(g, side, alive), rounds
+	return maskSide(g, side, alive), rounds, nil
 }
 
 // WingDecompositionDelta computes the same wing numbers as
@@ -180,7 +189,7 @@ func wingDecompositionDelta(g *graph.Bipartite, threads int, stage stageFunc) ([
 	arena := core.NewArena()
 	sup := make([]int64, nnz)
 	t0 := stageNow(stage)
-	core.EdgeSupportParallelInto(sup, g, threads, arena)
+	core.EdgeSupportParallelInto(context.Background(), sup, g, threads, arena)
 	emitStage(stage, "peel.seed", t0)
 	state := core.NewWingPeelState(g)
 
@@ -214,7 +223,7 @@ func wingDecompositionDelta(g *graph.Bipartite, threads int, stage stageFunc) ([
 			inBatch[e] = true
 		}
 		touched = touched[:0]
-		core.WingStateDeltaBatch(state, batch, alive, inBatch, sup, dirty, &touched, threads, arena)
+		core.WingStateDeltaBatch(context.Background(), state, batch, alive, inBatch, sup, dirty, &touched, threads, arena)
 		for _, e := range batch {
 			inBatch[e] = false
 			state.RemoveEdge(e)
@@ -237,20 +246,25 @@ func wingDecompositionDelta(g *graph.Bipartite, threads int, stage stageFunc) ([
 // graph every round). Identical to KWingSubgraph; returns the cascade
 // round count.
 func KWingDelta(g *graph.Bipartite, k int64, threads int) (*graph.Bipartite, int) {
-	return kWingDelta(g, k, threads, nil)
+	sub, rounds, _ := kWingDelta(context.Background(), g, k, threads, nil)
+	return sub, rounds
 }
 
-// kWingDelta is KWingDelta with an optional stage hook.
-func kWingDelta(g *graph.Bipartite, k int64, threads int, stage stageFunc) (*graph.Bipartite, int) {
+// kWingDelta is KWingDelta with an optional stage hook and cooperative
+// cancellation: ctx reaches the seed sweep and every cascade round's
+// delta kernel.
+func kWingDelta(ctx context.Context, g *graph.Bipartite, k int64, threads int, stage stageFunc) (*graph.Bipartite, int, error) {
 	adj := g.Adj()
 	nnz := int(adj.NNZ())
 	if nnz == 0 || k <= 0 {
-		return g, 0
+		return g, 0, nil
 	}
 	arena := core.NewArena()
 	sup := make([]int64, nnz)
 	t0 := stageNow(stage)
-	core.EdgeSupportParallelInto(sup, g, threads, arena)
+	if _, err := core.EdgeSupportParallelInto(ctx, sup, g, threads, arena); err != nil {
+		return nil, 0, err
+	}
 	emitStage(stage, "peel.seed", t0)
 	state := core.NewWingPeelState(g)
 
@@ -277,7 +291,9 @@ func kWingDelta(g *graph.Bipartite, k int64, threads int, stage stageFunc) (*gra
 		rt := stageNow(stage)
 		rounds++
 		touched = touched[:0]
-		core.WingStateDeltaBatch(state, cur, alive, inBatch, sup, dirty, &touched, threads, arena)
+		if err := core.WingStateDeltaBatch(ctx, state, cur, alive, inBatch, sup, dirty, &touched, threads, arena); err != nil {
+			return nil, 0, err
+		}
 		for _, e := range cur {
 			inBatch[e] = false
 			state.RemoveEdge(e)
@@ -294,7 +310,7 @@ func kWingDelta(g *graph.Bipartite, k int64, threads int, stage stageFunc) (*gra
 		cur, next = next, cur
 		emitRound(stage, rounds-1, rt)
 	}
-	return graphFromAliveEdges(g, alive), rounds
+	return graphFromAliveEdges(g, alive), rounds, nil
 }
 
 // graphFromAliveEdges rebuilds a bipartite graph keeping only the edges

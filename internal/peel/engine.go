@@ -14,6 +14,7 @@ package peel
 //     levels and enormous delta fan-out.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -120,20 +121,35 @@ func WingNumbersWith(g *graph.Bipartite, o Options) ([]int64, Stats) {
 
 // KTipWith extracts the k-tip subgraph on the selected engine.
 func KTipWith(g *graph.Bipartite, k int64, side core.Side, o Options) (*graph.Bipartite, Stats) {
+	sub, st, _ := KTipWithContext(context.Background(), g, k, side, o)
+	return sub, st
+}
+
+// KTipWithContext is KTipWith with cooperative cancellation: the seed
+// sweep and every round's kernel stop at their next checkpoint, and the
+// call returns ctx.Err() once the context is done.
+func KTipWithContext(ctx context.Context, g *graph.Bipartite, k int64, side core.Side, o Options) (*graph.Bipartite, Stats, error) {
+	run := kTipDelta
 	if o.Engine == EngineRecount {
-		sub, rounds := kTipRecount(g, k, side, o.threads(), o.Stage)
-		return sub, Stats{Rounds: rounds}
+		run = kTipRecount
 	}
-	sub, rounds := kTipDelta(g, k, side, o.threads(), o.Stage)
-	return sub, Stats{Rounds: rounds}
+	sub, rounds, err := run(ctx, g, k, side, o.threads(), o.Stage)
+	return sub, Stats{Rounds: rounds}, err
 }
 
 // KWingWith extracts the k-wing subgraph on the selected engine.
 func KWingWith(g *graph.Bipartite, k int64, o Options) (*graph.Bipartite, Stats) {
+	sub, st, _ := KWingWithContext(context.Background(), g, k, o)
+	return sub, st
+}
+
+// KWingWithContext is KWingWith with cooperative cancellation, as
+// KTipWithContext.
+func KWingWithContext(ctx context.Context, g *graph.Bipartite, k int64, o Options) (*graph.Bipartite, Stats, error) {
+	run := kWingDelta
 	if o.Engine == EngineRecount {
-		sub, rounds := kWingRecount(g, k, o.threads(), o.Stage)
-		return sub, Stats{Rounds: rounds}
+		run = kWingRecount
 	}
-	sub, rounds := kWingDelta(g, k, o.threads(), o.Stage)
-	return sub, Stats{Rounds: rounds}
+	sub, rounds, err := run(ctx, g, k, o.threads(), o.Stage)
+	return sub, Stats{Rounds: rounds}, err
 }

@@ -1,6 +1,8 @@
 package peel
 
 import (
+	"context"
+
 	"butterfly/internal/core"
 	"butterfly/internal/graph"
 )
@@ -53,7 +55,7 @@ func tipDecompositionRecount(g *graph.Bipartite, side core.Side, threads int, st
 	for remaining > 0 {
 		rt := stageNow(stage)
 		rounds++
-		core.VertexButterfliesMaskedInto(s, g, side, active, threads, arena)
+		core.VertexButterfliesMaskedInto(context.Background(), s, g, side, active, threads, arena)
 		// Find the minimum count among active vertices.
 		min := int64(-1)
 		for u, a := range active {
@@ -82,13 +84,14 @@ func tipDecompositionRecount(g *graph.Bipartite, side core.Side, threads int, st
 // Like TipDecompositionRounds this is the recount engine, kept as the
 // oracle for KTipDelta.
 func KTipParallel(g *graph.Bipartite, k int64, side core.Side, threads int) *graph.Bipartite {
-	sub, _ := kTipRecount(g, k, side, threads, nil)
+	sub, _, _ := kTipRecount(context.Background(), g, k, side, threads, nil)
 	return sub
 }
 
 // kTipRecount is KTipParallel reporting the number of fixpoint rounds,
-// with an optional stage hook.
-func kTipRecount(g *graph.Bipartite, k int64, side core.Side, threads int, stage stageFunc) (*graph.Bipartite, int) {
+// with an optional stage hook and cooperative cancellation: ctx
+// reaches every round's recount, which stops at its next checkpoint.
+func kTipRecount(ctx context.Context, g *graph.Bipartite, k int64, side core.Side, threads int, stage stageFunc) (*graph.Bipartite, int, error) {
 	n := g.NumV1()
 	if side == core.SideV2 {
 		n = g.NumV2()
@@ -103,7 +106,9 @@ func kTipRecount(g *graph.Bipartite, k int64, side core.Side, threads int, stage
 	for {
 		rt := stageNow(stage)
 		rounds++
-		core.VertexButterfliesMaskedInto(s, g, side, active, threads, arena)
+		if err := core.VertexButterfliesMaskedInto(ctx, s, g, side, active, threads, arena); err != nil {
+			return nil, 0, err
+		}
 		changed := false
 		for u := range active {
 			if active[u] && s[u] < k {
@@ -116,5 +121,5 @@ func kTipRecount(g *graph.Bipartite, k int64, side core.Side, threads int, stage
 			break
 		}
 	}
-	return maskSide(g, side, active), rounds
+	return maskSide(g, side, active), rounds, nil
 }

@@ -1,6 +1,8 @@
 package peel
 
 import (
+	"context"
+
 	"butterfly/internal/core"
 	"butterfly/internal/graph"
 	"butterfly/internal/sparse"
@@ -12,13 +14,15 @@ import (
 // support sweep reuses the previous round's scratch. This is the
 // recount engine, kept as the oracle for KWingDelta.
 func KWingParallel(g *graph.Bipartite, k int64, threads int) *graph.Bipartite {
-	sub, _ := kWingRecount(g, k, threads, nil)
+	sub, _, _ := kWingRecount(context.Background(), g, k, threads, nil)
 	return sub
 }
 
 // kWingRecount is KWingParallel reporting the number of fixpoint
-// rounds, with an optional stage hook.
-func kWingRecount(g *graph.Bipartite, k int64, threads int, stage stageFunc) (*graph.Bipartite, int) {
+// rounds, with an optional stage hook and cooperative cancellation:
+// ctx reaches every round's support sweep, which stops at its next
+// checkpoint.
+func kWingRecount(ctx context.Context, g *graph.Bipartite, k int64, threads int, stage stageFunc) (*graph.Bipartite, int, error) {
 	arena := core.NewArena()
 	valsBuf := make([]int64, g.NumEdges())
 	cur := g
@@ -26,13 +30,16 @@ func kWingRecount(g *graph.Bipartite, k int64, threads int, stage stageFunc) (*g
 	for {
 		rt := stageNow(stage)
 		rounds++
-		sw := core.EdgeSupportParallelInto(valsBuf, cur, threads, arena)
+		sw, err := core.EdgeSupportParallelInto(ctx, valsBuf, cur, threads, arena)
+		if err != nil {
+			return nil, 0, err
+		}
 		kept := sparse.PatternOf(sparse.Select(sw, func(_ int, _ int32, v int64) bool {
 			return v >= k
 		}))
 		if kept.NNZ() == cur.NumEdges() {
 			emitRound(stage, rounds-1, rt)
-			return cur, rounds
+			return cur, rounds, nil
 		}
 		next, err := graph.FromCSR(kept)
 		if err != nil {
@@ -83,7 +90,7 @@ func wingDecompositionRecount(g *graph.Bipartite, threads int, stage stageFunc) 
 	for cur.NumEdges() > 0 {
 		rt := stageNow(stage)
 		rounds++
-		sup := core.EdgeSupportParallelInto(valsBuf, cur, threads, arena)
+		sup, _ := core.EdgeSupportParallelInto(context.Background(), valsBuf, cur, threads, arena)
 		min := int64(-1)
 		for _, v := range sup.Val {
 			if min < 0 || v < min {

@@ -341,11 +341,11 @@ func TestDegradeToEstimate(t *testing.T) {
 	<-entered
 
 	// A plain count is shed...
-	_, err := c.Count(ctx, "k44", serveapi.CountRequest{Algorithm: "wedge-hash"})
+	_, err := c.Count(ctx, "k44", serveapi.CountRequest{})
 	wantCode(t, err, http.StatusTooManyRequests, serveapi.CodeOverloaded, "plain count under load")
 
 	// ...but the degradable count comes back as an estimate.
-	count, est, err := c.CountOrEstimate(ctx, "k44", serveapi.CountRequest{Algorithm: "wedge-hash"})
+	count, est, err := c.CountOrEstimate(ctx, "k44", serveapi.CountRequest{})
 	if err != nil {
 		t.Fatalf("degradable count: %v", err)
 	}
@@ -363,7 +363,7 @@ func TestDegradeToEstimate(t *testing.T) {
 	}
 
 	// Uncontended, the same degradable request runs the exact count.
-	count, est, err = c.CountOrEstimate(ctx, "k44", serveapi.CountRequest{Algorithm: "wedge-hash"})
+	count, est, err = c.CountOrEstimate(ctx, "k44", serveapi.CountRequest{})
 	if err != nil || est != nil || count == nil || count.Butterflies != 36 {
 		t.Fatalf("uncontended degradable count = %+v / %+v, %v", count, est, err)
 	}

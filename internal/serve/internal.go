@@ -181,19 +181,17 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	sl := &slot{lim: s.lim}
-	defer sl.release()
+	defer s.lim.release()
 
 	ksp := root.Child("kernel")
 	s.compute(ctx)
-	body, err := runAbandon(ctx, sl, func() ([]byte, error) {
-		return serveapi.EncodePartial(snap.Version, snap.Graph.WedgePartials()), nil
-	})
+	parts, err := snap.Graph.WedgePartialsContext(ctx)
 	ksp.End()
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
+	body := serveapi.EncodePartial(snap.Version, parts)
 	if !st.debug {
 		s.cache.put(cacheKey, body)
 	}
@@ -235,7 +233,7 @@ func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	root := stateOf(r).root()
 	psp := root.Child("parse")
 	var req serveapi.AdoptRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		psp.End()
 		s.writeError(w, r, err)
 		return

@@ -136,7 +136,7 @@ func TestOverloadedEnvelope(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		rawDo(t, "POST", base+"/v1/graphs/k44/count", `{"invariant":1}`)
+		rawDo(t, "POST", base+"/v1/graphs/k44/count", `{}`)
 	}()
 	<-hold
 

@@ -2,10 +2,10 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"butterfly"
@@ -33,55 +33,11 @@ func parseSide(s string) (butterfly.Side, error) {
 	}
 }
 
-// countOptions validates a CountRequest into CountOptions.
-func countOptions(req *serveapi.CountRequest) (butterfly.CountOptions, error) {
-	var opts butterfly.CountOptions
-	switch req.Algorithm {
-	case "", "family":
-		opts.Algorithm = butterfly.AlgorithmFamily
-	case "wedge-hash":
-		opts.Algorithm = butterfly.AlgorithmWedgeHash
-	case "vertex-priority":
-		opts.Algorithm = butterfly.AlgorithmVertexPriority
-	case "sort-aggregate":
-		opts.Algorithm = butterfly.AlgorithmSortAggregate
-	case "spgemm":
-		opts.Algorithm = butterfly.AlgorithmSpGEMM
-	default:
-		return opts, badReqf("unknown algorithm %q", req.Algorithm)
-	}
-	opts.Invariant = butterfly.Invariant(req.Invariant)
-	if !opts.Invariant.Valid() {
-		return opts, badReqf("invariant must be 0-8, got %d", req.Invariant)
-	}
-	if opts.Algorithm != butterfly.AlgorithmFamily && opts.Invariant != butterfly.InvariantAuto {
-		return opts, badReqf("invariant is only meaningful with the family algorithm")
-	}
-	switch req.Order {
-	case "", "natural":
-		opts.Order = butterfly.OrderNatural
-	case "degree-asc":
-		opts.Order = butterfly.OrderDegreeAsc
-	case "degree-desc":
-		opts.Order = butterfly.OrderDegreeDesc
-	default:
-		return opts, badReqf("unknown order %q", req.Order)
-	}
-	if req.BlockSize < 0 {
-		return opts, badReqf("block must be ≥ 0, got %d", req.BlockSize)
-	}
-	opts.BlockSize = req.BlockSize
-	opts.Threads = req.Threads
-	return opts, nil
-}
-
 // Cache keys. A key captures everything that can change the response
-// body and nothing else. The exact count is invariant across all
-// algorithms, invariants, orders and thread counts — that equivalence
-// is the paper's core result and is what makes the shared count key
-// sound: a count served from cache is identical to a count computed by
-// any family member or baseline, and the response body names none of
-// the request's knobs.
+// body and nothing else. A count request carries no kernel knobs, so
+// every count of a graph version shares one key; the exact count is
+// invariant across family members, orders and thread counts anyway —
+// the paper's core result.
 const (
 	keyCount = "count"
 	keyEdges = "edge-supports"
@@ -118,18 +74,12 @@ func parsePeelEngine(s string) (butterfly.PeelEngine, error) {
 	}
 }
 
-// execCount runs an exact count on the snapshot with true cooperative
-// cancellation (the ctx is threaded into the core counting loops).
-// The kernel span, when present, receives the counting core's named
-// sub-stages ("core.order", "core.count", …) as children.
-func (s *Server) execCount(ctx context.Context, snap *Snapshot, req *serveapi.CountRequest, ksp *obsv.Span) (*serveapi.CountResponse, error) {
-	opts, err := countOptions(req)
-	if err != nil {
-		return nil, err
-	}
-	opts.Arena = s.arena
-	opts.Stage = ksp.Hook()
-	c, err := snap.Graph.CountWithContext(ctx, opts)
+// execCount runs an exact count on the snapshot: the automatically
+// selected family member, sequentially, on the server's arena. The
+// kernel span, when present, receives the counting core's named
+// sub-stages ("core.relayout", "core.count") as children.
+func (s *Server) execCount(ctx context.Context, snap *Snapshot, ksp *obsv.Span) (*serveapi.CountResponse, error) {
+	c, err := snap.Graph.CountWithContext(ctx, butterfly.CountOptions{Arena: s.arena, Stage: ksp.Hook()})
 	if err != nil {
 		return nil, err
 	}
@@ -140,12 +90,9 @@ func (s *Server) execCount(ctx context.Context, snap *Snapshot, req *serveapi.Co
 }
 
 // execVertexCounts computes per-vertex butterfly counts and keeps the
-// top-K. Runs under runAbandon (no checkpoints inside the vector
-// kernel yet).
-func (s *Server) execVertexCounts(ctx context.Context, sl *slot, snap *Snapshot, side butterfly.Side, top int) (*serveapi.VertexCountsResponse, error) {
-	counts, err := runAbandon(ctx, sl, func() ([]int64, error) {
-		return snap.Graph.VertexButterflies(side)
-	})
+// top-K.
+func (s *Server) execVertexCounts(ctx context.Context, snap *Snapshot, side butterfly.Side, top int) (*serveapi.VertexCountsResponse, error) {
+	counts, err := snap.Graph.VertexButterfliesContext(ctx, side)
 	if err != nil {
 		return nil, err
 	}
@@ -176,10 +123,8 @@ func (s *Server) execVertexCounts(ctx context.Context, sl *slot, snap *Snapshot,
 
 // execEdgeSupports computes per-edge butterfly supports, top-K by
 // support.
-func (s *Server) execEdgeSupports(ctx context.Context, sl *slot, snap *Snapshot, top int) (*serveapi.EdgeSupportsResponse, error) {
-	supports, err := runAbandon(ctx, sl, func() ([]butterfly.EdgeCount, error) {
-		return snap.Graph.EdgeSupports(), nil
-	})
+func (s *Server) execEdgeSupports(ctx context.Context, snap *Snapshot, top int) (*serveapi.EdgeSupportsResponse, error) {
+	supports, err := snap.Graph.EdgeSupportsContext(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +158,7 @@ func (s *Server) execEdgeSupports(ctx context.Context, sl *slot, snap *Snapshot,
 // seed, hence cacheable). Samples == 0 with a sampling strategy means
 // adaptive sizing: draws accumulate until the 95% CI half-width is
 // below the target relative error or MaxSamples is hit.
-func (s *Server) execEstimate(ctx context.Context, sl *slot, snap *Snapshot, req *serveapi.EstimateRequest) (*serveapi.EstimateResponse, error) {
+func (s *Server) execEstimate(ctx context.Context, snap *Snapshot, req *serveapi.EstimateRequest) (*serveapi.EstimateResponse, error) {
 	opts := butterfly.EstimateOptions{
 		Samples:      req.Samples,
 		P:            req.P,
@@ -246,15 +191,12 @@ func (s *Server) execEstimate(ctx context.Context, sl *slot, snap *Snapshot, req
 	if req.MaxSamples < 0 {
 		return nil, badReqf("max_samples must be ≥ 0, got %d", req.MaxSamples)
 	}
-	res, err := runAbandon(ctx, sl, func() (butterfly.EstimateResult, error) {
-		res, err := snap.Graph.EstimateWithCI(opts)
-		if err != nil {
-			return res, badRequestError{err.Error()}
-		}
-		return res, nil
-	})
-	if err != nil {
+	res, err := snap.Graph.EstimateWithCIContext(ctx, opts)
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		return nil, err
+	}
+	if err != nil {
+		return nil, badRequestError{err.Error()}
 	}
 	s.obs.estimates.With("sample").Inc()
 	return &serveapi.EstimateResponse{
@@ -302,7 +244,7 @@ const degradeSamples = 256
 // execPeel runs a k-tip or k-wing peel and summarizes the surviving
 // subgraph. The kernel span, when present, receives the peeling
 // engine's sub-stages ("peel.seed", "peel.round[i]") as children.
-func (s *Server) execPeel(ctx context.Context, sl *slot, snap *Snapshot, req *serveapi.PeelRequest, ksp *obsv.Span) (*serveapi.PeelResponse, error) {
+func (s *Server) execPeel(ctx context.Context, snap *Snapshot, req *serveapi.PeelRequest, ksp *obsv.Span) (*serveapi.PeelResponse, error) {
 	if req.K < 0 {
 		return nil, badReqf("k must be ≥ 0, got %d", req.K)
 	}
@@ -323,100 +265,28 @@ func (s *Server) execPeel(ctx context.Context, sl *slot, snap *Snapshot, req *se
 	if err != nil {
 		return nil, err
 	}
-	opts := butterfly.PeelOptions{Engine: engine, Threads: req.Threads, Stage: ksp.Hook()}
-	type peeled struct {
-		sub   *butterfly.Graph
-		stats butterfly.PeelStats
+	// Threads stays 0: the peeling engines' default, one worker per CPU.
+	opts := butterfly.PeelOptions{Engine: engine, Stage: ksp.Hook()}
+	var (
+		sub *butterfly.Graph
+		st  butterfly.PeelStats
+	)
+	if mode == "wing" {
+		sub, st, err = snap.Graph.KWingWithContext(ctx, req.K, opts)
+	} else {
+		sub, st, err = snap.Graph.KTipWithContext(ctx, req.K, side, opts)
 	}
-	r, err := runAbandon(ctx, sl, func() (peeled, error) {
-		if mode == "wing" {
-			sub, st, err := snap.Graph.KWingWith(req.K, opts)
-			return peeled{sub, st}, err
-		}
-		sub, st, err := snap.Graph.KTipWith(req.K, side, opts)
-		return peeled{sub, st}, err
-	})
+	if err != nil {
+		return nil, err
+	}
+	c, err := sub.CountWithContext(ctx, butterfly.CountOptions{Arena: s.arena})
 	if err != nil {
 		return nil, err
 	}
 	return &serveapi.PeelResponse{
 		ResultMeta: serveapi.ResultMeta{Graph: snap.Name, Version: snap.Version},
 		Mode:       mode, K: req.K,
-		Engine: engine.String(), Rounds: r.stats.Rounds,
-		EdgesRemaining: r.sub.NumEdges(), Butterflies: r.sub.Count(),
+		Engine: engine.String(), Rounds: st.Rounds,
+		EdgesRemaining: sub.NumEdges(), Butterflies: c,
 	}, nil
-}
-
-// slot is a claimed execution slot of the admission limiter whose
-// release can be handed over to a background goroutine when a
-// computation is abandoned on deadline. States: held (by the request
-// goroutine) → transferred (to the abandoned computation) → released.
-// Exactly one transition releases the limiter.
-type slot struct {
-	lim   *limiter
-	state atomic.Int32
-}
-
-const (
-	slotHeld int32 = iota
-	slotTransferred
-	slotReleased
-)
-
-// release frees the slot if the request goroutine still owns it; the
-// handler defers it so every early-exit path is covered.
-func (sl *slot) release() {
-	if sl != nil && sl.state.CompareAndSwap(slotHeld, slotReleased) {
-		sl.lim.release()
-	}
-}
-
-// transfer hands ownership to a background goroutine: the handler's
-// deferred release becomes a no-op and releaseOwned frees the slot
-// when the computation actually finishes. This keeps the limiter's
-// accounting honest — an abandoned count still occupies CPU, so it
-// must keep occupying an execution slot until it is done.
-func (sl *slot) transfer() { sl.state.CompareAndSwap(slotHeld, slotTransferred) }
-
-// releaseOwned frees the slot from the computation goroutine,
-// whichever side currently owns it.
-func (sl *slot) releaseOwned() {
-	if sl.state.CompareAndSwap(slotTransferred, slotReleased) ||
-		sl.state.CompareAndSwap(slotHeld, slotReleased) {
-		sl.lim.release()
-	}
-}
-
-// runAbandon runs f in a helper goroutine and returns its result, or
-// returns promptly with ctx.Err() on cancellation. On cancellation
-// the goroutine finishes in the background, discards its result, and
-// releases the execution slot only when it is truly done — used for
-// the query kernels that do not yet have cancellation checkpoints of
-// their own. With a non-cancellable ctx, f runs inline and slot
-// handling is left entirely to the caller's defer.
-func runAbandon[T any](ctx context.Context, sl *slot, f func() (T, error)) (T, error) {
-	if ctx.Done() == nil {
-		return f()
-	}
-	var zero T
-	if err := ctx.Err(); err != nil {
-		return zero, err
-	}
-	type result struct {
-		v   T
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		v, err := f()
-		sl.releaseOwned()
-		ch <- result{v, err}
-	}()
-	select {
-	case r := <-ch:
-		return r.v, r.err
-	case <-ctx.Done():
-		sl.transfer()
-		return zero, ctx.Err()
-	}
 }

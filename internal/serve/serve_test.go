@@ -58,24 +58,12 @@ func TestRegisterAndCount(t *testing.T) {
 		t.Fatalf("register butterflies = %d, want 36", info.Butterflies)
 	}
 
-	// Every algorithm and family member agrees.
-	for _, req := range []serveapi.CountRequest{
-		{},
-		{Invariant: 3},
-		{Invariant: 7, Threads: 2},
-		{Algorithm: "wedge-hash"},
-		{Algorithm: "spgemm", Threads: 2},
-		{Algorithm: "sort-aggregate"},
-		{Algorithm: "vertex-priority", Threads: 2},
-		{Order: "degree-desc", BlockSize: 2},
-	} {
-		resp, err := c.Count(ctx, "k44", req)
-		if err != nil {
-			t.Fatalf("count %+v: %v", req, err)
-		}
-		if resp.Butterflies != 36 || resp.Version != 1 || resp.Graph != "k44" {
-			t.Fatalf("count %+v = %+v, want 36 @ v1", req, resp)
-		}
+	resp, err := c.Count(ctx, "k44", serveapi.CountRequest{})
+	if err != nil {
+		t.Fatalf("count: %v", err)
+	}
+	if resp.Butterflies != 36 || resp.Version != 1 || resp.Graph != "k44" {
+		t.Fatalf("count = %+v, want 36 @ v1", resp)
 	}
 
 	// Graph listing and info.
@@ -178,12 +166,6 @@ func TestBadInputs(t *testing.T) {
 		t.Fatalf("404 should unwrap to ErrNotFound, got %v", err)
 	}
 
-	_, err = c.Count(ctx, "k44", serveapi.CountRequest{Algorithm: "bogus"})
-	wantStatus(err, http.StatusBadRequest, "bad algorithm")
-	_, err = c.Count(ctx, "k44", serveapi.CountRequest{Invariant: 11})
-	wantStatus(err, http.StatusBadRequest, "bad invariant")
-	_, err = c.Count(ctx, "k44", serveapi.CountRequest{Algorithm: "spgemm", Invariant: 2})
-	wantStatus(err, http.StatusBadRequest, "invariant with non-family")
 	_, err = c.VertexCounts(ctx, "k44", serveapi.VertexCountsRequest{Side: "v3"})
 	wantStatus(err, http.StatusBadRequest, "bad side")
 	_, err = c.Estimate(ctx, "k44", serveapi.EstimateRequest{Strategy: "edges", Samples: -1})
@@ -244,7 +226,7 @@ func TestDeadlineExceeded504(t *testing.T) {
 		t.Fatalf("504 should unwrap to ErrDeadline, got %v", err)
 	}
 
-	// Same for an abandoned-kernel endpoint.
+	// Same for a peel, whose engine polls the context at its checkpoints.
 	_, err = c.Peel(context.Background(), "k44", serveapi.PeelRequest{Mode: "tip", K: 1, TimeoutMillis: 30})
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusGatewayTimeout {
 		t.Fatalf("peel err = %v, want 504", err)
@@ -315,9 +297,9 @@ func TestResultCache(t *testing.T) {
 		t.Fatalf("second count X-Cache = %q, want hit", xc)
 	}
 
-	// The count key is shared across equivalent algorithm choices —
-	// an Inv5 request hits the cache warmed by the auto request.
-	resp, err := http.Post(urlOf(t, c)+"/graphs/k44/count", "application/json", strings.NewReader(`{"invariant":5,"threads":2}`))
+	// Every count of a version shares one key — a body that differs
+	// only in its deadline hits the cache warmed by the empty one.
+	resp, err := http.Post(urlOf(t, c)+"/graphs/k44/count", "application/json", strings.NewReader(`{"timeout_ms":5000}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,49 +419,44 @@ func TestLRUCacheEviction(t *testing.T) {
 }
 
 // TestCountRejectsKernelKnobs: the kernel's tuning knobs are not part
-// of the wire format, so a count request naming one answers 400 under
-// the strict body decoder instead of pinning a slow kernel.
+// of the wire format, so a count or peel request naming one answers
+// 400 under the strict body decoder instead of pinning a slow kernel,
+// a checkpoint-free baseline, or every CPU under one admission slot.
 func TestCountRejectsKernelKnobs(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	base := urlOf(t, c)
 	registerK44(t, c)
-	for _, body := range []string{`{"hub":"always"}`, `{"agg":"sort"}`} {
-		resp, _ := rawDo(t, "POST", base+"/v1/graphs/k44/count", body)
+	for _, tc := range []struct{ route, body string }{
+		{"count", `{"hub":"always"}`},
+		{"count", `{"agg":"sort"}`},
+		{"count", `{"algorithm":"wedge-hash"}`},
+		{"count", `{"invariant":5}`},
+		{"count", `{"order":"degree-desc"}`},
+		{"count", `{"block":64}`},
+		{"count", `{"threads":-1}`},
+		{"peel", `{"mode":"tip","k":1,"threads":-1}`},
+	} {
+		resp, body := rawDo(t, "POST", base+"/v1/graphs/k44/"+tc.route, tc.body)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400", body, resp.StatusCode)
+			t.Fatalf("%s %s: status %d, want 400", tc.route, tc.body, resp.StatusCode)
+		}
+		if det := decodeEnvelope(t, body); det.Code != serveapi.CodeInvalidArgument {
+			t.Fatalf("%s %s: code %q, want %q", tc.route, tc.body, det.Code, serveapi.CodeInvalidArgument)
 		}
 	}
 }
 
-// TestResultCacheSharedAcrossAlgorithms: the count is invariant
-// across algorithms, so every count request of a graph version shares
-// one cache entry — a baseline-algorithm count after a family count is
-// a hit, and so is any other knob combination.
-func TestResultCacheSharedAcrossAlgorithms(t *testing.T) {
+// TestOversizeBody413: a body over the 16 MiB decode bound answers 413
+// too_large instead of a parse error about the silently truncated text.
+func TestOversizeBody413(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	registerK44(t, c)
-
-	post := func(body string) string {
-		resp, err := http.Post(urlOf(t, c)+"/graphs/k44/count", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d for %s", resp.StatusCode, body)
-		}
-		return resp.Header.Get("X-Cache")
+	body := `{"tenant":"` + strings.Repeat("a", 16<<20) + `"}`
+	resp, raw := rawDo(t, "POST", urlOf(t, c)+"/v1/graphs/k44/count", body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413", resp.StatusCode)
 	}
-	if xc := post(`{}`); xc != "miss" {
-		t.Fatalf("first family count X-Cache = %q, want miss", xc)
-	}
-	for _, body := range []string{
-		`{"algorithm":"wedge-hash"}`,
-		`{"algorithm":"spgemm","threads":2}`,
-		`{"invariant":5,"threads":2,"order":"degree-desc"}`,
-	} {
-		if xc := post(body); xc != "hit" {
-			t.Fatalf("%s after a family count: X-Cache = %q, want hit", body, xc)
-		}
+	if det := decodeEnvelope(t, raw); det.Code != serveapi.CodeTooLarge {
+		t.Fatalf("code = %q, want %q", det.Code, serveapi.CodeTooLarge)
 	}
 }

@@ -462,9 +462,12 @@ func errMap(err error) (status int, code string, retryMS int64) {
 	var ni ErrNotIngesting
 	var rb replicaBehindError
 	var qe quotaError
+	var tl *http.MaxBytesError
 	switch {
 	case errors.As(err, &br):
 		return http.StatusBadRequest, serveapi.CodeInvalidArgument, 0
+	case errors.As(err, &tl):
+		return http.StatusRequestEntityTooLarge, serveapi.CodeTooLarge, 0
 	case errors.As(err, &qe):
 		// The tenant's token bucket is empty: the retry hint is the
 		// bucket's actual refill horizon, not a generic backoff.
@@ -518,13 +521,19 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 
 // decodeBody strictly decodes a JSON request body into v. An empty
 // body is allowed and leaves v at its zero value, so `curl -X POST`
-// without a body runs the default query.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 16<<20))
+// without a body runs the default query. A body over 16 MiB fails
+// with *http.MaxBytesError, which answers 413 instead of a misleading
+// parse error about the truncated text.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		if errors.Is(err, io.EOF) {
+		var tooLarge *http.MaxBytesError
+		switch {
+		case errors.Is(err, io.EOF):
 			return nil
+		case errors.As(err, &tooLarge):
+			return tooLarge
 		}
 		return badReqf("invalid request body: %v", err)
 	}
@@ -673,7 +682,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	root := stateOf(r).root()
 	psp := root.Child("parse")
 	var req serveapi.RegisterRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		psp.End()
 		s.writeError(w, r, err)
 		return
@@ -750,7 +759,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	psp := root.Child("parse")
 	var req serveapi.MutateRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		psp.End()
 		s.writeError(w, r, err)
 		return
@@ -855,7 +864,7 @@ type flightOutcome struct {
 // approximation onShed produces (marked by the X-Degraded header and
 // never cached). The fallback must be orders of magnitude cheaper than
 // the exact query, since it deliberately bypasses admission control.
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, timeoutMS int, key string, onShed func(snap *Snapshot) (any, error), exec func(ctx context.Context, sl *slot, snap *Snapshot, ksp *obsv.Span) (any, error)) {
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, timeoutMS int, key string, onShed func(snap *Snapshot) (any, error), exec func(ctx context.Context, snap *Snapshot, ksp *obsv.Span) (any, error)) {
 	st := stateOf(r)
 	root := st.root()
 
@@ -909,12 +918,11 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, timeoutMS in
 		if err != nil {
 			return nil, err
 		}
-		sl := &slot{lim: s.lim}
-		defer sl.release()
+		defer s.lim.release()
 		start := time.Now()
 		ksp := root.Child("kernel")
 		s.compute(ctx)
-		resp, err := exec(ctx, sl, snap, ksp)
+		resp, err := exec(ctx, snap, ksp)
 		ksp.End()
 		if err != nil {
 			return nil, err
@@ -1031,7 +1039,7 @@ func (s *Server) handleTenantsGet(w http.ResponseWriter, r *http.Request) {
 // under the new weights; nothing in flight is disturbed.
 func (s *Server) handleTenantsSet(w http.ResponseWriter, r *http.Request) {
 	var cfg TenantsConfig
-	if err := decodeBody(r, &cfg); err != nil {
+	if err := decodeBody(w, r, &cfg); err != nil {
 		s.writeError(w, r, err)
 		return
 	}
@@ -1063,17 +1071,12 @@ func setElapsed(resp any, ms int64) {
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	psp := stateOf(r).root().Child("parse")
 	var req serveapi.CountRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		psp.End()
 		s.writeError(w, r, err)
 		return
 	}
 	if err := s.applyTenant(r, req.Tenant, req.Priority); err != nil {
-		psp.End()
-		s.writeError(w, r, err)
-		return
-	}
-	if _, err := countOptions(&req); err != nil { // validate before admission
 		psp.End()
 		s.writeError(w, r, err)
 		return
@@ -1092,15 +1095,15 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	psp.End()
-	s.serveQuery(w, r, req.TimeoutMillis, keyCount, onShed, func(ctx context.Context, sl *slot, snap *Snapshot, ksp *obsv.Span) (any, error) {
-		return s.execCount(ctx, snap, &req, ksp)
+	s.serveQuery(w, r, req.TimeoutMillis, keyCount, onShed, func(ctx context.Context, snap *Snapshot, ksp *obsv.Span) (any, error) {
+		return s.execCount(ctx, snap, ksp)
 	})
 }
 
 func (s *Server) handleVertexCounts(w http.ResponseWriter, r *http.Request) {
 	psp := stateOf(r).root().Child("parse")
 	var req serveapi.VertexCountsRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		psp.End()
 		s.writeError(w, r, err)
 		return
@@ -1121,15 +1124,15 @@ func (s *Server) handleVertexCounts(w http.ResponseWriter, r *http.Request) {
 		top = 100
 	}
 	psp.End()
-	s.serveQuery(w, r, req.TimeoutMillis, keyVertex(side, top), nil, func(ctx context.Context, sl *slot, snap *Snapshot, ksp *obsv.Span) (any, error) {
-		return s.execVertexCounts(ctx, sl, snap, side, top)
+	s.serveQuery(w, r, req.TimeoutMillis, keyVertex(side, top), nil, func(ctx context.Context, snap *Snapshot, ksp *obsv.Span) (any, error) {
+		return s.execVertexCounts(ctx, snap, side, top)
 	})
 }
 
 func (s *Server) handleEdgeSupports(w http.ResponseWriter, r *http.Request) {
 	psp := stateOf(r).root().Child("parse")
 	var req serveapi.EdgeSupportsRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		psp.End()
 		s.writeError(w, r, err)
 		return
@@ -1144,8 +1147,8 @@ func (s *Server) handleEdgeSupports(w http.ResponseWriter, r *http.Request) {
 		top = 100
 	}
 	psp.End()
-	s.serveQuery(w, r, req.TimeoutMillis, fmt.Sprintf("%s|top=%d", keyEdges, top), nil, func(ctx context.Context, sl *slot, snap *Snapshot, ksp *obsv.Span) (any, error) {
-		return s.execEdgeSupports(ctx, sl, snap, top)
+	s.serveQuery(w, r, req.TimeoutMillis, fmt.Sprintf("%s|top=%d", keyEdges, top), nil, func(ctx context.Context, snap *Snapshot, ksp *obsv.Span) (any, error) {
+		return s.execEdgeSupports(ctx, snap, top)
 	})
 }
 
@@ -1153,7 +1156,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	root := stateOf(r).root()
 	psp := root.Child("parse")
 	var req serveapi.EstimateRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		psp.End()
 		s.writeError(w, r, err)
 		return
@@ -1186,15 +1189,15 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		s.writeOK(w, r, http.StatusOK, resp)
 		return
 	}
-	s.serveQuery(w, r, req.TimeoutMillis, keyEstimate(&req), nil, func(ctx context.Context, sl *slot, snap *Snapshot, ksp *obsv.Span) (any, error) {
-		return s.execEstimate(ctx, sl, snap, &req)
+	s.serveQuery(w, r, req.TimeoutMillis, keyEstimate(&req), nil, func(ctx context.Context, snap *Snapshot, ksp *obsv.Span) (any, error) {
+		return s.execEstimate(ctx, snap, &req)
 	})
 }
 
 func (s *Server) handlePeel(w http.ResponseWriter, r *http.Request) {
 	psp := stateOf(r).root().Child("parse")
 	var req serveapi.PeelRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		psp.End()
 		s.writeError(w, r, err)
 		return
@@ -1227,7 +1230,7 @@ func (s *Server) handlePeel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	psp.End()
-	s.serveQuery(w, r, req.TimeoutMillis, keyPeel(req.Mode, req.K, side, engine), nil, func(ctx context.Context, sl *slot, snap *Snapshot, ksp *obsv.Span) (any, error) {
-		return s.execPeel(ctx, sl, snap, &req, ksp)
+	s.serveQuery(w, r, req.TimeoutMillis, keyPeel(req.Mode, req.K, side, engine), nil, func(ctx context.Context, snap *Snapshot, ksp *obsv.Span) (any, error) {
+		return s.execPeel(ctx, snap, &req, ksp)
 	})
 }

@@ -1,6 +1,10 @@
 package butterfly
 
-import "butterfly/internal/core"
+import (
+	"context"
+
+	"butterfly/internal/core"
+)
 
 // WedgePartial is one entry of a V1-centered wedge partial map: Count
 // wedges (v—u—w) whose center u lies in the graph and whose endpoints
@@ -20,12 +24,19 @@ type WedgePartial struct {
 // populated), the result is exactly that partition's contribution to
 // the global wedge multiset.
 func (g *Graph) WedgePartials() []WedgePartial {
-	ps := core.WedgePartials(g.g)
-	out := make([]WedgePartial, len(ps))
-	for i, p := range ps {
-		out[i] = WedgePartial{V: p.V, W: p.W, Count: p.C}
+	ps, _ := g.WedgePartialsContext(context.Background())
+	return ps
+}
+
+// WedgePartialsContext is WedgePartials with cooperative cancellation:
+// a cancelled ctx stops the sweep within a few hundred exposed
+// vertices and the call returns ctx.Err().
+func (g *Graph) WedgePartialsContext(ctx context.Context) ([]WedgePartial, error) {
+	ps, err := core.WedgePartialsContext(ctx, g.g)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	return partialsFromCore(ps), nil
 }
 
 func partialsToCore(ps []WedgePartial) []core.PairCount {

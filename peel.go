@@ -1,6 +1,7 @@
 package butterfly
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -141,6 +142,13 @@ func (g *Graph) WingNumbersWith(opts PeelOptions) ([]EdgeCount, PeelStats) {
 
 // KTipWith extracts the k-tip subgraph on the engine selected by opts.
 func (g *Graph) KTipWith(k int64, side Side, opts PeelOptions) (*Graph, PeelStats, error) {
+	return g.KTipWithContext(context.Background(), k, side, opts)
+}
+
+// KTipWithContext is KTipWith with cooperative cancellation: the seed
+// sweep and every peeling round poll ctx at their checkpoints, and a
+// done context ends the call with ctx.Err().
+func (g *Graph) KTipWithContext(ctx context.Context, k int64, side Side, opts PeelOptions) (*Graph, PeelStats, error) {
 	if k < 0 {
 		return nil, PeelStats{}, fmt.Errorf("butterfly: negative k %d", k)
 	}
@@ -148,16 +156,28 @@ func (g *Graph) KTipWith(k int64, side Side, opts PeelOptions) (*Graph, PeelStat
 	if err != nil {
 		return nil, PeelStats{}, err
 	}
-	sub, st := peel.KTipWith(g.g, k, s, opts.internal())
+	sub, st, err := peel.KTipWithContext(ctx, g.g, k, s, opts.internal())
+	if err != nil {
+		return nil, PeelStats{}, err
+	}
 	return &Graph{g: sub}, PeelStats{Engine: opts.Engine, Rounds: st.Rounds}, nil
 }
 
 // KWingWith extracts the k-wing subgraph on the engine selected by opts.
 func (g *Graph) KWingWith(k int64, opts PeelOptions) (*Graph, PeelStats, error) {
+	return g.KWingWithContext(context.Background(), k, opts)
+}
+
+// KWingWithContext is KWingWith with cooperative cancellation, as
+// KTipWithContext.
+func (g *Graph) KWingWithContext(ctx context.Context, k int64, opts PeelOptions) (*Graph, PeelStats, error) {
 	if k < 0 {
 		return nil, PeelStats{}, fmt.Errorf("butterfly: negative k %d", k)
 	}
-	sub, st := peel.KWingWith(g.g, k, opts.internal())
+	sub, st, err := peel.KWingWithContext(ctx, g.g, k, opts.internal())
+	if err != nil {
+		return nil, PeelStats{}, err
+	}
 	return &Graph{g: sub}, PeelStats{Engine: opts.Engine, Rounds: st.Rounds}, nil
 }
 

@@ -88,7 +88,7 @@ done
 
 # A fresh exact count over the recovered graph must agree with the
 # stamped butterfly count.
-COUNT=$(curl -sf -X POST "http://$ADDR/graphs/crash/count" -d '{"threads":-1}')
+COUNT=$(curl -sf -X POST "http://$ADDR/graphs/crash/count" -d '{}')
 if [ "$(field "$COUNT" butterflies)" != "$(field "$AFTER_CRASH" butterflies)" ]; then
   echo "FAIL: recount $(field "$COUNT" butterflies) != recovered stamp $(field "$AFTER_CRASH" butterflies)" >&2
   fail=1

@@ -111,12 +111,13 @@ type ResultMeta struct {
 }
 
 // CountRequest asks for an exact butterfly count. All fields are
-// optional — the zero value runs the automatically selected family
-// member sequentially. Algorithm is one of "family" (default),
-// "wedge-hash", "vertex-priority", "sort-aggregate", "spgemm";
-// Invariant picks the family member (0 = auto, 1–8); Order is
-// "natural", "degree-asc" or "degree-desc". Threads ≤ 0 means one
-// worker per CPU. Every combination returns the same count.
+// optional. The server always runs the automatically selected family
+// member sequentially — every family member, order and thread count
+// returns the same count, and a kernel knob on the wire would only let
+// one request pin a slower kernel or every CPU under one admission
+// slot — so a body naming algorithm, invariant, order, block or
+// threads is rejected like any other unknown field. The library and
+// the bfc and bfbench commands keep those knobs.
 //
 // Tenant and Priority identify the caller to the admission
 // controller (see docs/QOS.md): Tenant selects the token bucket and
@@ -128,11 +129,6 @@ type ResultMeta struct {
 // win when both are present. The same pair exists on every /v1
 // request type that passes admission.
 type CountRequest struct {
-	Algorithm string `json:"algorithm,omitempty"`
-	Invariant int    `json:"invariant,omitempty"`
-	Threads   int    `json:"threads,omitempty"`
-	BlockSize int    `json:"block,omitempty"`
-	Order     string `json:"order,omitempty"`
 	// TimeoutMillis overrides the server's default per-request
 	// deadline (capped by the server's maximum).
 	TimeoutMillis int    `json:"timeout_ms,omitempty"`
@@ -300,14 +296,13 @@ type IngestResponse struct {
 // execution strategy: "delta" (default, incremental wedge-delta
 // peeling) or "recount" (round-synchronous full recomputation). Both
 // engines produce identical subgraphs; they differ in speed and in the
-// Rounds they report. Threads ≤ 0 means one worker per CPU; neither
-// the thread count nor the engine affects the result.
+// Rounds they report. The engine does not affect the result; the
+// server runs it with one worker per CPU.
 type PeelRequest struct {
 	Mode          string `json:"mode"`
 	K             int64  `json:"k"`
 	Side          string `json:"side,omitempty"`
 	Engine        string `json:"engine,omitempty"`
-	Threads       int    `json:"threads,omitempty"`
 	TimeoutMillis int    `json:"timeout_ms,omitempty"`
 	Tenant        string `json:"tenant,omitempty"`
 	Priority      string `json:"priority,omitempty"`
@@ -464,6 +459,9 @@ type Error struct {
 const (
 	// CodeInvalidArgument is a malformed or out-of-range request (400).
 	CodeInvalidArgument = "invalid_argument"
+	// CodeTooLarge is a request body over the server's size bound
+	// (413); the body was not processed.
+	CodeTooLarge = "too_large"
 	// CodeNotFound names an unknown graph (404).
 	CodeNotFound = "not_found"
 	// CodeAlreadyExists is a register collision without replace (409).

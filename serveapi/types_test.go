@@ -45,10 +45,8 @@ func TestWireFormat(t *testing.T) {
 		},
 		{
 			"CountRequest",
-			&CountRequest{Algorithm: "family", Invariant: 4, Threads: 2, BlockSize: 64,
-				Order: "degree-asc", TimeoutMillis: 5000},
-			`{"algorithm":"family","invariant":4,"threads":2,"block":64,` +
-				`"order":"degree-asc","timeout_ms":5000}`,
+			&CountRequest{TimeoutMillis: 5000},
+			`{"timeout_ms":5000}`,
 		},
 		{
 			"CountRequest zero is empty",
@@ -75,8 +73,8 @@ func TestWireFormat(t *testing.T) {
 		{
 			// Tenant/priority ride any /v1 request that passes admission.
 			"CountRequest with tenant",
-			&CountRequest{Invariant: 2, Tenant: "dashboards", Priority: "interactive"},
-			`{"invariant":2,"tenant":"dashboards","priority":"interactive"}`,
+			&CountRequest{Tenant: "dashboards", Priority: "interactive"},
+			`{"tenant":"dashboards","priority":"interactive"}`,
 		},
 		{
 			"VertexCountsRequest",
@@ -198,8 +196,8 @@ func TestWireFormat(t *testing.T) {
 			// Mode accepts "tip" or "wing"; both spellings are pinned,
 			// as are both engine spellings.
 			"PeelRequest tip",
-			&PeelRequest{Mode: "tip", K: 8, Side: "v2", Engine: "recount", Threads: 4, TimeoutMillis: 100},
-			`{"mode":"tip","k":8,"side":"v2","engine":"recount","threads":4,"timeout_ms":100}`,
+			&PeelRequest{Mode: "tip", K: 8, Side: "v2", Engine: "recount", TimeoutMillis: 100},
+			`{"mode":"tip","k":8,"side":"v2","engine":"recount","timeout_ms":100}`,
 		},
 		{
 			// Engine omits when empty (server defaults to delta).
@@ -328,10 +326,10 @@ func TestWireFormat(t *testing.T) {
 // versions must coexist, so decoding tolerates unknown fields.
 func TestWireUnknownFieldsIgnored(t *testing.T) {
 	var req CountRequest
-	if err := json.Unmarshal([]byte(`{"threads":3,"some_future_knob":true}`), &req); err != nil {
+	if err := json.Unmarshal([]byte(`{"timeout_ms":3,"some_future_knob":true}`), &req); err != nil {
 		t.Fatalf("unknown field rejected: %v", err)
 	}
-	if req.Threads != 3 {
+	if req.TimeoutMillis != 3 {
 		t.Fatalf("known field lost: %+v", req)
 	}
 }
